@@ -17,6 +17,7 @@ import json
 import os
 import signal
 import sys
+from collections import Counter
 
 from ._version import __version__
 from .graphs import (
@@ -26,6 +27,7 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     distance_partition,
+    distance_table,
     johnson_graph,
     kneser_graph,
     line_graph,
@@ -285,22 +287,31 @@ def cmd_dist(args) -> int:
             raise ValueError(f"source {args.source} out of range for {g.n} vertices")
         sources = [args.source]
 
+    # one BFS per vertex serves both the per-source entries and the
+    # distance-law check; a single source needs one BFS and no table
+    checked = family == "johnson"
+    if checked or args.all_sources:
+        table = distance_table(g)
+        rows = [(x, table[x]) for x in sources]
+    else:
+        rows = [(x, distance_partition(g, x).dist) for x in sources]
     entries = []
-    for x in sources:
-        dp = distance_partition(g, x)
+    for x, row in rows:
+        sizes = Counter(d for d in row if d is not None)
         entries.append({
             "source": x,
-            "layer_sizes": list(dp.layer_sizes),
-            "eccentricity": dp.eccentricity,
+            "layer_sizes": [sizes[d] for d in range(len(sizes))],
+            "eccentricity": len(sizes) - 1,
         })
 
-    # cross-check the subset-intersection distance law when we know the
-    # input is a Johnson graph (family form only; a graph6 file carries
-    # no label information)
-    if family == "johnson":
+    # cross-check the subset-intersection distance law on every ordered
+    # pair when we know the input is a Johnson graph (family form only; a
+    # graph6 file carries no label information)
+    if checked:
+        labels = g.labels
         agrees = all(
-            distance_partition(g, u).dist[v] == distance_by_intersection(g.labels[u], g.labels[v])
-            for u in range(g.n)
+            row[v] == distance_by_intersection(labels[u], labels[v])
+            for u, row in enumerate(table)
             for v in range(g.n)
         )
         verdict = "agree" if agrees else "mismatch"
@@ -322,7 +333,7 @@ def cmd_iso(args) -> int:
     cap = _resolve_cap(args)
     g = _read_graph(args.g, cap)
     h = _read_graph(args.h, cap)
-    p = find_isomorphism(g, h)
+    p = find_isomorphism(g, h, cap=cap)
     report = {
         "status": "ok",
         "tool_version": __version__,

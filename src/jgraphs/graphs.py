@@ -1,6 +1,7 @@
 """Immutable undirected simple graphs with bit-mask adjacency rows, the
 graph families built on subset labels, and the standard constructions
-(line graph, complement, induced subgraph, distance layers).
+(line graph, complement, induced subgraph, distance layers and the
+all-pairs distance table).
 
 Vertices are 0-based indices.  Subset-labelled families attach a
 SubsetLabel per vertex; the vertex order of those families is exactly the
@@ -258,26 +259,42 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 
 
 def distance_partition(g: Graph, source: int) -> DistancePartition:
-    """BFS layers from source; unreachable vertices are flagged, not layered."""
+    """BFS layers from source; unreachable vertices are flagged, not layered.
+
+    This is the one BFS kernel of the package.  Each step grows the whole
+    frontier at once: the next layer is the OR of the frontier's rows with
+    every vertex seen so far masked out.
+    """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} outside 0..{g.n - 1}")
+    adj = g.adj
     dist = [None] * g.n
     dist[source] = 0
     layers = [frozenset([source])]
-    frontier = [source]
+    seen = frontier = 1 << source
     d = 0
-    while frontier:
+    while True:
+        reach = 0
+        for v in bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        if not frontier:
+            break
+        seen |= frontier
         d += 1
-        nxt = []
-        for v in frontier:
-            for w in bits(g.adj[v]):
-                if dist[w] is None:
-                    dist[w] = d
-                    nxt.append(w)
-        if nxt:
-            layers.append(frozenset(nxt))
-        frontier = nxt
+        layer = tuple(bits(frontier))
+        for v in layer:
+            dist[v] = d
+        layers.append(frozenset(layer))
     return DistancePartition(source, tuple(layers), tuple(dist))
+
+
+def distance_table(g: Graph) -> tuple[tuple, ...]:
+    """All-pairs distances: row u is ``distance_partition(g, u).dist``.
+
+    One BFS per vertex; ``None`` marks an unreachable pair.
+    """
+    return tuple(distance_partition(g, u).dist for u in range(g.n))
 
 
 def neighborhood(g: Graph, v: int) -> frozenset[int]:

@@ -25,6 +25,7 @@ from math import factorial
 from ._version import __version__
 from .graphs import (
     DEFAULT_VERTEX_CAP,
+    DistancePartition,
     Graph,
     bits,
     complete_bipartite,
@@ -171,10 +172,14 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     """
     if x == v:
         raise ValueError("source and probe vertex must differ")
-    dp = distance_partition(g, x)
+    return _intersection_witness(g, distance_partition(g, x), v)
+
+
+def _intersection_witness(g: Graph, dp: DistancePartition, v: int) -> IntersectionWitness:
+    """The uniqueness probe for v against an already computed partition."""
     d = dp.dist[v]
     if d is None:
-        raise ValueError(f"vertex {v} is unreachable from {x}")
+        raise ValueError(f"vertex {v} is unreachable from {dp.source}")
     prev_mask = 0
     for w in dp.layers[d - 1]:
         prev_mask |= 1 << w
@@ -349,25 +354,32 @@ class TransitivityProfile:
     distance: bool
 
 
-def _orbit_covers(gens, start, members):
+def _orbit(gens, start):
     seen = {start}
     queue = [start]
     while queue:
-        a, b = queue.pop()
-        for g in gens:
-            c, d = g[a], g[b]
-            if (c, d) not in seen:
-                seen.add((c, d))
-                queue.append((c, d))
-    return len(seen) == len(members)
+        p = queue.pop()
+        for gen in gens:
+            q = gen[p]
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
 
 
 def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
     """Vertex, edge and distance transitivity flags under the given group.
 
-    Each flag holds exactly when the relevant pair class is a single
-    orbit; distance transitivity checks every ordered-pair class grouped
-    by distance, the diagonal included, so it implies vertex transitivity.
+    Vertex and edge transitivity hold when the vertices, respectively the
+    edges, form a single orbit.  Distance transitivity means that every
+    class of ordered pairs at a fixed distance, the diagonal and the
+    unreachable pairs included, is a single orbit; it implies vertex
+    transitivity.  For a vertex-transitive group it is equivalent to the
+    stabilizer of one vertex b being transitive on every class of vertices
+    at a fixed distance from b (Brouwer, Cohen & Neumaier, Distance-Regular
+    Graphs, 1989), which is what is checked: b is the group's first base
+    point and the stabilizer comes from its stabilizer chain, so one BFS
+    replaces orbit closure over all ordered pairs.
     """
     if aut.degree != g.n:
         raise ValueError(f"group degree {aut.degree} != vertex count {g.n}")
@@ -389,14 +401,16 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
         edge = seen == edge_pairs
     else:
         edge = True
-    classes = {}
-    for a in range(g.n):
-        row = distance_partition(g, a).dist
-        for b in range(g.n):
-            classes.setdefault(row[b], []).append((a, b))
-    distance = all(
-        _orbit_covers(gens, pairs[0], pairs) for pairs in classes.values()
-    )
+    distance = vertex
+    if distance:
+        b = aut.base[0] if aut.base else 0
+        stabilizer = [p.images for p in aut.base_stabilizer_generators]
+        classes = {}
+        for v, d in enumerate(distance_partition(g, b).dist):
+            classes.setdefault(d, set()).add(v)
+        distance = all(
+            _orbit(stabilizer, min(members)) == members for members in classes.values()
+        )
     return TransitivityProfile(vertex=vertex, edge=edge, distance=distance)
 
 
@@ -604,7 +618,7 @@ def verify_johnson_aut(
             d = dp.dist[v]
             if v == x or d is None:
                 continue
-            witness = unique_intersection_witness(g, x, v)
+            witness = _intersection_witness(g, dp, v)
             if d >= 2:
                 deep_total += 1
                 deep_unique += witness.passed
@@ -633,7 +647,8 @@ def verify_johnson_aut(
         "distance_transitive",
         profile.distance,
         True,
-        "single orbit on every ordered pair class at fixed distance",
+        "vertex-transitive, and the stabilizer of one vertex is transitive on each of its "
+        "distance layers (Brouwer-Cohen-Neumaier criterion)",
     ))
 
     return VerificationReport(

@@ -232,6 +232,15 @@ class PermGroup:
                     queue.append(q)
         return frozenset(seen)
 
+    @property
+    def base_stabilizer_generators(self) -> tuple[Perm, ...]:
+        """Strong generators below the first level of the chain.
+
+        They generate the stabilizer of ``base[0]``; the tuple is empty
+        for the trivial group and whenever that stabilizer is trivial.
+        """
+        return tuple(Perm(g) for level in self._levels[1:] for g in level.gens)
+
     def elements(self):
         """Yield every element exactly once (use only for small orders)."""
 

@@ -7,7 +7,14 @@ import jsonschema
 import pytest
 from importlib.resources import files as resource_files
 
-from jgraphs import johnson_graph, kneser_graph, complement, write_graph6
+from jgraphs import (
+    Graph,
+    complement,
+    distance_partition,
+    johnson_graph,
+    kneser_graph,
+    write_graph6,
+)
 from jgraphs.cli import main
 
 
@@ -228,6 +235,60 @@ class TestDist:
     def test_neither_given(self, capsys):
         assert run_cli(capsys, "dist")[0] == 2
 
+    @staticmethod
+    def per_source_entries(g, sources):
+        # the report as one distance_partition per source gives it
+        partitions = [distance_partition(g, x) for x in sources]
+        return [
+            {"source": dp.source, "layer_sizes": list(dp.layer_sizes), "eccentricity": dp.eccentricity}
+            for dp in partitions
+        ]
+
+    @pytest.mark.parametrize("graph", [
+        johnson_graph(6, 3),
+        kneser_graph(5, 2),
+        Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
+        Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)]),
+        Graph(3, [0, 0, 0]),
+    ])
+    def test_all_sources_match_per_source_bfs(self, capsys, validator, tmp_path, graph):
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(graph))
+        code, doc, _ = run_json(capsys, validator, "dist", "--in", str(path), "--all-sources")
+        assert code == 0
+        assert doc["sources"] == self.per_source_entries(graph, range(graph.n))
+        _, doc, _ = run_json(capsys, validator, "dist", "--in", str(path), "--source", "2")
+        assert doc["sources"] == self.per_source_entries(graph, [2])
+
+    @pytest.mark.parametrize("n,m,source", [(5, 2, 0), (6, 3, 11), (7, 3, 34), (8, 4, 5)])
+    def test_johnson_family_matches_per_source_bfs(self, capsys, validator, n, m, source):
+        code, doc, _ = run_json(
+            capsys, validator, "dist", "johnson", str(n), str(m), "--source", str(source)
+        )
+        assert code == 0 and doc["distance_law"] == "agree"
+        assert doc["sources"] == self.per_source_entries(johnson_graph(n, m), [source])
+
+    def test_distance_law_runs_one_bfs_per_vertex(self, capsys, validator, monkeypatch):
+        import jgraphs.graphs
+
+        sources = []
+
+        def counting(g, source):
+            sources.append(source)
+            return distance_partition(g, source)
+
+        monkeypatch.setattr(jgraphs.graphs, "distance_partition", counting)
+        code, doc, _ = run_json(capsys, validator, "dist", "johnson", "7", "3", "--all-sources")
+        assert code == 0 and doc["distance_law"] == "agree"
+        assert sources == list(range(35))
+
+    def test_distance_law_mismatch_exits_assertion(self, capsys, validator, monkeypatch):
+        import jgraphs.cli
+
+        monkeypatch.setattr(jgraphs.cli, "distance_by_intersection", lambda u, v: 0)
+        code, doc, _ = run_json(capsys, validator, "dist", "johnson", "5", "2")
+        assert code == 1 and doc["distance_law"] == "mismatch"
+
 
 class TestIso:
     def test_johnson_vs_petersen_complement(self, capsys, validator, tmp_path):
@@ -263,6 +324,18 @@ class TestIso:
         assert code == 0
         assert doc["isomorphic"] is False
         assert "witness" not in doc
+
+    def test_cap_flag_reaches_the_search(self, capsys, validator, tmp_path, monkeypatch):
+        import jgraphs.search
+
+        monkeypatch.setattr(jgraphs.search, "DEFAULT_VERTEX_CAP", 4)
+        a = tmp_path / "a.g6"
+        b = tmp_path / "b.g6"
+        a.write_text(write_graph6(johnson_graph(5, 2)))
+        b.write_text(write_graph6(complement(kneser_graph(5, 2))))
+        code, doc, _ = run_json(capsys, validator, "iso", str(a), str(b), "--cap", "10")
+        assert code == 0 and doc["isomorphic"] is True
+        assert run_cli(capsys, "iso", str(a), str(b), "--cap", "9")[0] == 3
 
     def test_witness_actually_maps(self, capsys, validator, tmp_path):
         from jgraphs import Perm, complete_graph, line_graph, verify_isomorphism

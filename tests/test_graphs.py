@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jgraphs import (
     DEFAULT_VERTEX_CAP,
@@ -11,6 +12,7 @@ from jgraphs import (
     complete_bipartite,
     complete_graph,
     distance_partition,
+    distance_table,
     induced_subgraph,
     intersection_size,
     johnson_graph,
@@ -210,3 +212,59 @@ class TestDistancePartition:
     def test_bad_source(self):
         with pytest.raises(ValueError):
             distance_partition(complete_graph(3), 3)
+
+
+def _networkx_table(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    return tuple(tuple(lengths[u].get(v) for v in range(g.n)) for u in range(g.n))
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize(
+        "name,g",
+        [
+            ("J(5,2)", johnson_graph(5, 2)),
+            ("J(6,3)", johnson_graph(6, 3)),
+            ("J(8,3)", johnson_graph(8, 3)),
+            ("K(7,3)", kneser_graph(7, 3)),
+            ("Petersen", kneser_graph(5, 2)),
+            ("P7", Graph.from_edges(7, [(i, i + 1) for i in range(6)])),
+            ("disconnected", Graph.from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)])),
+            ("edgeless", Graph(4, [0, 0, 0, 0])),
+            ("K1", complete_graph(1)),
+        ],
+    )
+    def test_matches_networkx(self, name, g):
+        assert distance_table(g) == _networkx_table(g)
+
+    def test_unreachable_entries_are_none(self):
+        g = Graph.from_edges(5, [(0, 1), (2, 3)])
+        table = distance_table(g)
+        assert table[0] == (0, 1, None, None, None)
+        assert table[4] == (None, None, None, None, 0)
+
+    def test_rows_are_partition_distances(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        assert distance_table(g) == tuple(distance_partition(g, u).dist for u in range(g.n))
+
+    def test_symmetric(self):
+        table = distance_table(kneser_graph(6, 2))
+        assert all(table[u][v] == table[v][u] for u in range(15) for v in range(15))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    ))
+    def test_random_graphs(self, data):
+        n, pairs = data
+        g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+        table = distance_table(g)
+        assert table == _networkx_table(g)
+        for u in range(n):
+            dp = distance_partition(g, u)
+            assert all(dp.dist[v] == d for d, layer in enumerate(dp.layers) for v in layer)
+            assert sum(dp.layer_sizes) == n - len(dp.unreachable)

@@ -7,6 +7,7 @@ import pytest
 from jgraphs import (
     Graph,
     Perm,
+    PermGroup,
     PartialVertexMap,
     ReconstructionError,
     SubsetLabel,
@@ -14,13 +15,16 @@ from jgraphs import (
     brute_force_automorphisms,
     check_automorphism,
     complementation_map,
+    complete_bipartite,
     complete_graph,
     compose,
     distance_by_intersection,
     distance_partition,
+    distance_table,
     group_from_generators,
     induced_action,
     johnson_graph,
+    kneser_graph,
     line_graph,
     local_reconstruction,
     neighborhood,
@@ -325,6 +329,95 @@ class TestTransitivityProfile:
         assert prof.vertex and prof.edge and prof.distance
 
 
+def _single_orbit(gens, pairs, key=lambda pair: pair):
+    start = key(pairs[0])
+    seen = {start}
+    queue = [start]
+    while queue:
+        a, b = queue.pop()
+        for gen in gens:
+            image = key((gen[a], gen[b]))
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen == {key(pair) for pair in pairs}
+
+
+def pair_orbit_profile(g, group):
+    """Slow oracle: orbit closure over all ordered pairs of vertices.
+
+    Vertex transitivity is one orbit on the diagonal, edge transitivity
+    one orbit on the unordered edges, and distance transitivity one orbit
+    on every class of ordered pairs at a fixed distance (None included).
+    """
+    gens = [p.images for p in group.generators]
+    table = distance_table(g)
+    classes = {}
+    for a in range(g.n):
+        for b in range(g.n):
+            classes.setdefault(table[a][b], []).append((a, b))
+    edges = g.edges()
+    return (
+        _single_orbit(gens, [(v, v) for v in range(g.n)]),
+        not edges or _single_orbit(gens, edges, key=lambda e: (min(e), max(e))),
+        all(_single_orbit(gens, pairs) for pairs in classes.values()),
+    )
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _shrikhande():
+    # Cayley graph of Z4 x Z4 with connection set {±(0,1), ±(1,0), ±(1,1)}
+    return Graph.from_edges(16, [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4) for da, db in [(0, 1), (1, 0), (1, 1)]
+    ])
+
+
+PRISM = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+ORACLE_CASES = {
+    # name: (graph, group or None for the full automorphism group, expected flags)
+    "prism": (PRISM, None, (True, False, False)),
+    "shrikhande": (_shrikhande(), None, (True, True, False)),
+    "2K3": (TWO_TRIANGLES, None, (True, True, True)),
+    "2K3 regular": (
+        TWO_TRIANGLES,
+        PermGroup([Perm.from_cycles(6, (0, 1, 2), (3, 4, 5)),
+                   Perm.from_cycles(6, (0, 3), (1, 4), (2, 5))], 6),
+        (True, True, False),
+    ),
+    "2K2 regular": (
+        # every finite layer is a single vertex; only the unreachable class fails
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        PermGroup([Perm.from_cycles(4, (0, 1), (2, 3)), Perm.from_cycles(4, (0, 2), (1, 3))], 4),
+        (True, True, False),
+    ),
+    "C6": (_cycle(6), None, (True, True, True)),
+    "C6 rotations": (_cycle(6), PermGroup([Perm([1, 2, 3, 4, 5, 0])], 6), (True, True, False)),
+    "petersen": (kneser_graph(5, 2), None, (True, True, True)),
+    "P3": (Graph.from_edges(3, [(0, 1), (1, 2)]), None, (False, True, False)),
+    "K23": (complete_bipartite(2, 3), None, (False, True, False)),
+    "K1": (complete_graph(1), None, (True, True, True)),
+    "C6 trivial group": (_cycle(6), PermGroup([], 6), (False, False, False)),
+    "petersen trivial group": (kneser_graph(5, 2), PermGroup([], 10), (False, False, False)),
+    "J(6,3)": (johnson_graph(6, 3), None, (True, True, True)),
+}
+
+
+class TestTransitivityAgainstPairOrbits:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_matches_oracle(self, name):
+        g, group, expected = ORACLE_CASES[name]
+        if group is None:
+            group = automorphism_group(g)
+        prof = transitivity_profile(g, group)
+        flags = (prof.vertex, prof.edge, prof.distance)
+        assert flags == pair_orbit_profile(g, group) == expected
+
+
 class TestVerifyReport:
     def test_small_even_pair(self):
         rep = verify_johnson_aut(6, 3)
@@ -365,6 +458,21 @@ class TestVerifyReport:
         rep = verify_johnson_aut(5, 2, all_sources=True)
         assert rep.passed
         assert "10 source(s)" in rep.check("intersection_uniqueness").detail
+
+    def test_one_bfs_per_swept_source(self, monkeypatch):
+        import jgraphs.johnson
+
+        sources = []
+
+        def counting(g, source):
+            sources.append(source)
+            return distance_partition(g, source)
+
+        monkeypatch.setattr(jgraphs.johnson, "distance_partition", counting)
+        rep = verify_johnson_aut(6, 3, all_sources=True)
+        assert rep.passed
+        # the uniqueness sweep, plus one BFS for distance transitivity
+        assert sorted(sources[:20]) == list(range(20)) and len(sources) == 21
 
     def test_rejects_invalid_parameters(self):
         for n, m in [(3, 1), (5, 1), (5, 3), (6, 4)]:

@@ -138,6 +138,29 @@ class TestPermGroup:
         with pytest.raises(ValueError):
             group_from_generators([Perm.identity(3)], 4)
 
+    @pytest.mark.parametrize(
+        "gens,degree",
+        [
+            ([Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, tuple(range(6)))], 6),
+            ([Perm.from_cycles(4, (0, 1, 2, 3)), Perm.from_cycles(4, (1, 3))], 4),
+            ([Perm.from_cycles(5, (0, 1, 2)), Perm.from_cycles(5, (2, 3, 4))], 5),
+            ([Perm.from_cycles(6, (0, 1, 2, 3, 4, 5))], 6),
+        ],
+    )
+    def test_base_stabilizer_generators(self, gens, degree):
+        g = group_from_generators(gens, degree)
+        b = g.base[0]
+        stab = g.base_stabilizer_generators
+        assert all(p[b] == b and g.contains(p) for p in stab)
+        # orbit-stabilizer: the generators give the whole stabilizer
+        assert group_from_generators(stab, degree).order * len(g.orbit(b)) == g.order
+        stabilizer = {p for p in g.elements() if p[b] == b}
+        assert set(group_from_generators(stab, degree).elements()) == stabilizer
+
+    def test_base_stabilizer_generators_of_trivial_group(self):
+        g = group_from_generators([], 4)
+        assert g.base == () and g.base_stabilizer_generators == ()
+
 
 class TestBruteForce:
     def test_complete_graph(self):
