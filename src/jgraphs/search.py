@@ -11,7 +11,13 @@ order is not, so it stays a presentation rule only.
 
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
-vertex order.  Discovered automorphisms prune sibling branches to one
+vertex order.  The first path takes the smallest candidate at every level
+and keeps each level's refinement trace: the count signatures of its
+non-singleton cell tests, which an isomorphism preserves.  Automorphisms
+and isomorphisms are found by walking a tree depth-first against that
+path: a branch whose trace differs is pruned at the first difference, and
+the first leaf whose cell-by-cell map from the path's leaf preserves edges
+wins.  Discovered automorphisms prune sibling branches to one
 representative per orbit.
 """
 
@@ -90,9 +96,17 @@ def _split_counts(adj, cell, splitter):
     return groups
 
 
-def _refine_one(adj, cells, queue):
-    """Refine one ordered partition (cell masks) to its coarsest equitable
-    refinement.  The queue holds pending splitter masks."""
+def _refine(adj, cells, queue, trace=None, expect=None):
+    """Refine an ordered partition (cell masks) to its coarsest equitable
+    refinement; the queue holds pending splitter masks.
+
+    Testing a non-singleton cell against a splitter gives a signature, its
+    sorted (count, fragment size) pairs.  Signatures are appended to
+    ``trace``, or checked against ``expect``: False at the first difference
+    or when the lengths differ.
+    """
+    keep = trace is not None or expect is not None
+    pos = 0
     while queue:
         splitter = queue.popleft()
         k = 0
@@ -100,45 +114,24 @@ def _refine_one(adj, cells, queue):
             cell = cells[k]
             if cell & (cell - 1):
                 groups = _split_counts(adj, cell, splitter)
-                if len(groups) > 1:
-                    frags = [groups[c] for c in sorted(groups)]
-                    cells[k:k + 1] = frags
-                    queue.extend(frags)
-                    k += len(frags)
-                    continue
+                if keep or len(groups) > 1:
+                    counts = sorted(groups)
+                    if keep:
+                        sig = [(c, groups[c].bit_count()) for c in counts]
+                        if expect is None:
+                            trace.append(sig)
+                        elif pos < len(expect) and expect[pos] == sig:
+                            pos += 1
+                        else:
+                            return False
+                    if len(counts) > 1:
+                        frags = [groups[c] for c in counts]
+                        cells[k:k + 1] = frags
+                        queue.extend(frags)
+                        k += len(frags)
+                        continue
             k += 1
-
-
-def _refine_pair(adj_a, cells_a, adj_b, cells_b, queue):
-    """Refine two partitions in lockstep.
-
-    Returns False as soon as the two sides disagree on any split signature,
-    which proves no colour-preserving isomorphism matches the current
-    individualization prefix.
-    """
-    while queue:
-        split_a, split_b = queue.popleft()
-        k = 0
-        while k < len(cells_a):
-            groups_a = _split_counts(adj_a, cells_a[k], split_a)
-            groups_b = _split_counts(adj_b, cells_b[k], split_b)
-            if len(groups_a) != len(groups_b):
-                return False
-            counts = sorted(groups_a)
-            if counts != sorted(groups_b):
-                return False
-            frags_a = [groups_a[c] for c in counts]
-            frags_b = [groups_b[c] for c in counts]
-            if any(fa.bit_count() != fb.bit_count() for fa, fb in zip(frags_a, frags_b)):
-                return False
-            if len(counts) > 1:
-                cells_a[k:k + 1] = frags_a
-                cells_b[k:k + 1] = frags_b
-                queue.extend(zip(frags_a, frags_b))
-                k += len(counts)
-            else:
-                k += 1
-    return True
+    return expect is None or pos == len(expect)
 
 
 def _target_cell(cells):
@@ -174,13 +167,6 @@ def _orbit_mask(gens, start):
     return seen
 
 
-def _map_from_cells(cells_a, cells_b):
-    out = [0] * len(cells_a)
-    for cell_a, cell_b in zip(cells_a, cells_b):
-        out[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
-    return tuple(out)
-
-
 def _maps_edges(adj_a, adj_b, images):
     for v, row in enumerate(adj_a):
         mapped = 0
@@ -191,65 +177,77 @@ def _maps_edges(adj_a, adj_b, images):
     return True
 
 
-def _complete_map(adj_a, cells_a, adj_b, cells_b):
-    """Extend an aligned pair of refined partitions to a full isomorphism,
-    or return None."""
-    k = _target_cell(cells_a)
-    if k < 0:
-        images = _map_from_cells(cells_a, cells_b)
-        return images if _maps_edges(adj_a, adj_b, images) else None
-    v = (cells_a[k] & -cells_a[k]).bit_length() - 1
-    for u in bits(cells_b[k]):
-        branch_a = list(cells_a)
-        branch_b = list(cells_b)
-        frags_a = _individualize(branch_a, k, v)
-        frags_b = _individualize(branch_b, k, u)
-        queue = deque(zip(frags_a, frags_b))
-        if _refine_pair(adj_a, branch_a, adj_b, branch_b, queue):
-            found = _complete_map(adj_a, branch_a, adj_b, branch_b)
-            if found is not None:
-                return found
+def _first_path(adj, cells):
+    """The first path below an equitable partition: one (cells, target
+    position, vertex, trace of the refinement after individualizing the
+    vertex) entry per level, and the discrete leaf partition."""
+    path = []
+    k = _target_cell(cells)
+    while k >= 0:
+        v = (cells[k] & -cells[k]).bit_length() - 1
+        branch = list(cells)
+        trace = []
+        _refine(adj, branch, deque(_individualize(branch, k, v)), trace)
+        path.append((cells, k, v, trace))
+        cells = branch
+        k = _target_cell(cells)
+    return path, cells
+
+
+def _match(adj_leaf, path, leaf, adj, level, cells, todo=None):
+    """The first leaf, in depth-first order, of the tree of adj below
+    ``cells`` whose cell-by-cell map from the path's leaf is an
+    isomorphism from adj_leaf onto adj, as a tuple of images, or None.
+
+    ``cells`` is refined in line with the path at ``level``.  Candidates
+    run in ascending order: those in ``todo`` at that level (default: the
+    cell at the path's target position), the whole cell deeper down.  A
+    branch whose refinement trace differs from the path's is pruned.
+    """
+    stack = [(level, cells, todo)]
+    while stack:
+        level, cells, todo = stack.pop()
+        if level == len(path):
+            images = [0] * len(leaf)
+            for cell_a, cell_b in zip(leaf, cells):
+                images[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
+            if _maps_edges(adj_leaf, adj, images):
+                return tuple(images)
+            continue
+        _, k, _, trace = path[level]
+        if todo is None:
+            todo = cells[k]
+        low = todo & -todo
+        if todo != low:
+            stack.append((level, cells, todo ^ low))
+        branch = list(cells)
+        frags = _individualize(branch, k, low.bit_length() - 1)
+        if _refine(adj, branch, deque(frags), expect=trace):
+            stack.append((level + 1, branch, None))
     return None
-
-
-def _coset_representative(adj, cells, k, v, u):
-    """Search for an automorphism respecting the partition that maps v to u,
-    both taken from cell k."""
-    cells_a = list(cells)
-    cells_b = list(cells)
-    frags_a = _individualize(cells_a, k, v)
-    frags_b = _individualize(cells_b, k, u)
-    queue = deque(zip(frags_a, frags_b))
-    if not _refine_pair(adj, cells_a, adj, cells_b, queue):
-        return None
-    return _complete_map(adj, cells_a, adj, cells_b)
 
 
 def _aut_generators(adj, cells):
     """Generators of the colour-preserving automorphism group of an already
     equitable ordered partition.
 
-    Recursive orbit-stabilizer scheme: individualize the smallest vertex of
-    the target cell, recurse for the stabilizer, then search one coset
-    representative per orbit among the remaining branch candidates.
+    Orbit-stabilizer scheme along the first path, deepest level first:
+    with the generators of the level's stabilizer in hand, search one
+    coset representative per orbit of the individualized vertex among the
+    remaining candidates of its cell.
     """
-    k = _target_cell(cells)
-    if k < 0:
-        return []
-    cell = cells[k]
-    v = (cell & -cell).bit_length() - 1
-    stab_cells = list(cells)
-    frags = _individualize(stab_cells, k, v)
-    _refine_one(adj, stab_cells, deque(frags))
-    gens = _aut_generators(adj, stab_cells)
-    reached = _orbit_mask(gens, v) if gens else (1 << v)
-    for u in bits(cell):
-        if (reached >> u) & 1:
-            continue
-        rep = _coset_representative(adj, cells, k, v, u)
-        if rep is not None:
-            gens.append(rep)
-            reached = _orbit_mask(gens, v)
+    path, leaf = _first_path(adj, cells)
+    gens = []
+    for level in range(len(path) - 1, -1, -1):
+        cells, k, v, _ = path[level]
+        reached = _orbit_mask(gens, v)
+        for u in bits(cells[k]):
+            if (reached >> u) & 1:
+                continue
+            rep = _match(adj, path, leaf, adj, level, cells, 1 << u)
+            if rep is not None:
+                gens.append(rep)
+                reached = _orbit_mask(gens, v)
     return gens
 
 
@@ -287,7 +285,7 @@ def color_refinement(g: Graph, initial: ColoredPartition | None = None) -> Color
     if initial is None:
         initial = ColoredPartition.uniform(g.n)
     cells = _initial_cells(g, initial)
-    _refine_one(g.adj, cells, deque(cells))
+    _refine(g.adj, cells, deque(cells))
     return ColoredPartition.from_cells(g.n, [tuple(bits(cell)) for cell in cells])
 
 
@@ -314,10 +312,9 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None) -> PermGro
     """
     _check_cap(g, cap)
     cells = _initial_cells(g, colors)
-    _refine_one(g.adj, cells, deque(cells))
-    raw = _aut_generators(g.adj, cells)
+    _refine(g.adj, cells, deque(cells))
     gens = []
-    for images in raw:
+    for images in _aut_generators(g.adj, cells):
         p = Perm(images)
         if not check_automorphism(g, p):
             raise RuntimeError("internal error: search produced a non-automorphism")
@@ -336,12 +333,14 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
         return None
     if sorted(g.degrees()) != sorted(h.degrees()):
         return None
-    cells_a = [(1 << g.n) - 1]
-    cells_b = [(1 << h.n) - 1]
-    queue = deque(zip(list(cells_a), list(cells_b)))
-    if not _refine_pair(g.adj, cells_a, h.adj, cells_b, queue):
+    cells_g = [(1 << g.n) - 1]
+    trace = []
+    _refine(g.adj, cells_g, deque(cells_g), trace)
+    cells = [(1 << h.n) - 1]
+    if not _refine(h.adj, cells, deque(cells), expect=trace):
         return None
-    images = _complete_map(g.adj, cells_a, h.adj, cells_b)
+    path, leaf = _first_path(g.adj, cells_g)
+    images = _match(g.adj, path, leaf, h.adj, 0, cells)
     if images is None:
         return None
     p = Perm(images)
@@ -438,11 +437,11 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
             explored |= _orbit_mask(fixers, u) if fixers else (1 << u)
             branch = list(cells)
             frags = _individualize(branch, k, u)
-            _refine_one(adj, branch, deque(frags))
+            _refine(adj, branch, deque(frags))
             search(branch, prefix + (u,))
 
     cells0 = [(1 << n) - 1]
-    _refine_one(adj, cells0, deque(cells0))
+    _refine(adj, cells0, deque(cells0))
     search(cells0, ())
     relabel = best[1]
     ordering = [0] * n

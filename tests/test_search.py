@@ -1,4 +1,6 @@
 import random
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,12 @@ from jgraphs import (
     canonical_form,
     check_automorphism,
     color_refinement,
+    complete_bipartite,
     complete_graph,
     find_isomorphism,
     johnson_graph,
     kneser_graph,
+    line_graph,
     verify_isomorphism,
 )
 from jgraphs.perms import BRUTE_FORCE_LIMIT
@@ -33,6 +37,65 @@ def random_graph(rng: random.Random, n: int, density: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
     ]
     return Graph.from_edges(n, edges)
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1), +-(1,1): SRG(16,6,2,2)."""
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    edges = {
+        tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+        for a in range(4) for b in range(4) for da, db in steps
+    }
+    return Graph.from_edges(16, sorted(edges))
+
+
+def chang() -> Graph:
+    """Seidel switch of L(K8) on the vertices of a perfect matching of K8:
+    SRG(28,12,6,4), like L(K8), with a group of order 384."""
+    lk8, edge_of = line_graph(complete_graph(8))
+    switch = {edge_of.index(e) for e in [(0, 1), (2, 3), (4, 5), (6, 7)]}
+    edges = set(lk8.edges())
+    for u in switch:
+        for v in set(range(lk8.n)) - switch:
+            edges ^= {(min(u, v), max(u, v))}
+    return Graph.from_edges(28, sorted(edges))
+
+
+def cfi_k4(twisted: bool) -> Graph:
+    """Cai-Fuerer-Immerman graph over K4: 40 vertices, 3-regular.
+
+    Each base vertex x becomes four middle vertices, one per even subset S
+    of its three edges, and a pair a(x, e, 0), a(x, e, 1) per edge e; the
+    middle vertex S is joined to a(x, e, [e in S]).  Base edge {x, y}
+    joins a(x, e, i) to a(y, e, i), except on the twisted edge, where it
+    joins a(x, e, i) to a(y, e, 1 - i).
+    """
+    base = list(combinations(range(4), 2))
+    ids: dict = {}
+
+    def vertex(key):
+        return ids.setdefault(key, len(ids))
+
+    edges = []
+    for x in range(4):
+        incident = [e for e, pair in enumerate(base) if x in pair]
+        for subset in [(), *combinations(incident, 2)]:
+            middle = vertex(("middle", x, subset))
+            for e in incident:
+                edges.append((middle, vertex(("a", x, e, int(e in subset)))))
+    for e, (x, y) in enumerate(base):
+        flip = int(twisted and e == 0)
+        for i in (0, 1):
+            edges.append((vertex(("a", x, e, i)), vertex(("a", y, e, i ^ flip))))
+    return Graph.from_edges(40, edges)
+
+
+def networkx_graph(g: Graph):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 class TestColoredPartition:
@@ -166,6 +229,87 @@ class TestFindIsomorphism:
 
     def test_different_sizes(self):
         assert find_isomorphism(complete_graph(3), complete_graph(4)) is None
+
+    def test_deep_path_needs_no_recursion(self):
+        # the first path individualizes 599 vertices, one level each
+        g = Graph(600, [0] * 600)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            p = find_isomorphism(g, g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert p is not None and verify_isomorphism(g, g, p)
+
+
+class TestRefinementResistantPairs:
+    """Regular pairs that colour refinement leaves as one cell, so only the
+    search (branches pruned by their refinement traces) can tell them
+    apart."""
+
+    PAIRS = {
+        "Shrikhande vs L(K4,4)": (
+            shrikhande, 192, lambda: line_graph(complete_bipartite(4, 4))[0], 1152
+        ),
+        "Chang vs L(K8)": (chang, 384, lambda: line_graph(complete_graph(8))[0], 40320),
+        "CFI(K4) vs twisted": (lambda: cfi_k4(False), 192, lambda: cfi_k4(True), 192),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_pair(self, name):
+        make_a, order_a, make_b, order_b = self.PAIRS[name]
+        a, b = make_a(), make_b()
+        assert len(color_refinement(a).cells) == len(color_refinement(b).cells) == 1
+        assert find_isomorphism(a, b) is None
+        assert find_isomorphism(b, a) is None
+        assert automorphism_group(a).order == order_a
+        assert automorphism_group(b).order == order_b
+        rng = random.Random(name)
+        for g in (a, b):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = relabel(g, Perm(images))
+            p = find_isomorphism(g, h)
+            assert p is not None and verify_isomorphism(g, h, p)
+
+
+class TestOracles:
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_networkx_verdicts_and_orders(self, data):
+        nx = pytest.importorskip("networkx")
+        GraphMatcher = nx.algorithms.isomorphism.GraphMatcher
+        n = data.draw(st.integers(2, 8))
+        pairs = list(combinations(range(n), 2))
+        g = Graph.from_edges(n, sorted(data.draw(st.sets(st.sampled_from(pairs)))))
+        G = networkx_graph(g)
+        relabelled = relabel(g, Perm(data.draw(st.permutations(range(n)))))
+        flips = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=2))
+        flipped = Graph.from_edges(n, sorted(set(relabelled.edges()) ^ flips))
+        for h in (relabelled, flipped):
+            p = find_isomorphism(g, h)
+            assert (p is None) == (not nx.is_isomorphic(G, networkx_graph(h)))
+            assert p is None or verify_isomorphism(g, h, p)
+        count = sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+        assert automorphism_group(g).order == count
+
+    @pytest.mark.parametrize(
+        "name,make,order",
+        [
+            ("J(6,3)", lambda: johnson_graph(6, 3), 1440),
+            ("Petersen", lambda: kneser_graph(5, 2), 120),
+            ("K3,4", lambda: complete_bipartite(3, 4), 144),
+            ("Shrikhande", shrikhande, 192),
+            ("CFI(K4)", lambda: cfi_k4(False), 192),
+        ],
+    )
+    def test_sympy_order(self, name, make, order):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        aut = automorphism_group(make())
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p.images)) for p in aut.generators]
+        )
+        assert group.order() == aut.order == order
 
 
 class TestCanonicalForm:
