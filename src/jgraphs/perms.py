@@ -1,6 +1,7 @@
 """Permutations as image tuples, exact permutation groups via a
-deterministic Schreier-Sims stabilizer chain, and a brute-force
-automorphism oracle for small graphs.
+stabilizer chain (deterministic Schreier-Sims, or seeded from a known
+base and strong generating set), and a brute-force automorphism oracle
+for small graphs.
 
 Composition convention, frozen package-wide: ``compose(p, q)`` applies q
 first, so ``compose(p, q)[i] == p[q[i]]``.  Getting this backwards is the
@@ -172,16 +173,31 @@ def _sift(levels, g, start, identity):
 class PermGroup:
     """Exact permutation group built from generators.
 
-    The constructor runs a deterministic Schreier-Sims pass: base points
-    are the smallest points moved at each level, orbits are closed in
-    ascending point order, and generators are processed in input order, so
-    the base, the strong generators and the transversals are reproducible.
-    ``order`` is an exact Python int.
+    Without ``base`` the constructor runs a deterministic Schreier-Sims
+    pass: base points are the smallest points moved at each level, orbits
+    are closed in ascending point order, and generators are processed in
+    input order, so the base, the strong generators and the transversals
+    are reproducible.
+
+    With ``base`` the generators must already form a strong generating
+    set relative to it: for every i, those that fix ``base[:i]``
+    pointwise generate the pointwise stabilizer of ``base[:i]``, and only
+    the identity fixes every base point.  Each generator joins the level
+    of the first base point it moves (a generator that moves none raises
+    ValueError), levels without a generator are dropped, and each level's
+    transversal is the orbit of its point under the generators of that
+    level and deeper ones.  No Schreier generator is sifted, so a set
+    that is not strong gives a wrong ``order``.  An individualization-
+    refinement search yields such a set relative to the vertices it
+    individualizes along its first path.
+
+    ``order`` is an exact Python int, the product of the transversal
+    sizes.
     """
 
     __slots__ = ("degree", "generators", "base", "order", "_levels", "_identity")
 
-    def __init__(self, generators, degree: int):
+    def __init__(self, generators, degree: int, *, base=None):
         generators = tuple(generators)
         for g in generators:
             if not isinstance(g, Perm):
@@ -189,15 +205,10 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         identity = tuple(range(degree))
-        levels = []
-        for g in generators:
-            residue, stuck = _sift(levels, g.images, 0, identity)
-            if residue != identity:
-                _place(levels, residue, stuck, identity)
-        i = len(levels) - 1
-        while i >= 0:
-            jumped = _process_level(levels, i, identity)
-            i = i - 1 if jumped is None else jumped
+        if base is None:
+            levels = _schreier_sims(generators, identity)
+        else:
+            levels = _seeded_chain(generators, tuple(base), identity)
         order = 1
         for level in levels:
             order *= len(level.trans)
@@ -261,6 +272,35 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
+def _schreier_sims(generators, identity):
+    levels = []
+    for g in generators:
+        residue, stuck = _sift(levels, g.images, 0, identity)
+        if residue != identity:
+            _place(levels, residue, stuck, identity)
+    i = len(levels) - 1
+    while i >= 0:
+        jumped = _process_level(levels, i, identity)
+        i = i - 1 if jumped is None else jumped
+    return levels
+
+
+def _seeded_chain(generators, base, identity):
+    """The chain of a strong generating set relative to ``base``."""
+    if len(set(base)) != len(base) or not all(0 <= b < len(identity) for b in base):
+        raise ValueError(f"base must list distinct points of 0..{len(identity) - 1}: {base}")
+    levels = [_Level(b, identity) for b in base]
+    for g in generators:
+        i = next((i for i, b in enumerate(base) if g.images[b] != b), None)
+        if i is None:
+            raise ValueError(f"generator {g.cycle_string()} fixes every base point")
+        levels[i].gens.append(g.images)
+    levels = [level for level in levels if level.gens]
+    for i in range(len(levels)):
+        _close_orbit(levels, i)
+    return levels
+
+
 def _place(levels, residue, index, identity):
     if index == len(levels):
         point = next(p for p, image in enumerate(residue) if image != p)
@@ -268,14 +308,9 @@ def _place(levels, residue, index, identity):
     levels[index].gens.append(residue)
 
 
-def _process_level(levels, i, identity):
-    """Close level i: extend its transversal, then sift Schreier generators.
-
-    Returns None once every Schreier generator of the level sifts to the
-    identity, or the deeper level index where a non-trivial residue was
-    placed (the caller resumes work there).  Transversal entries are never
-    rewritten, so each (point, generator) pair is examined once.
-    """
+def _close_orbit(levels, i):
+    """Extend level i's transversal to the orbit of its point under the
+    generators of level i and deeper ones; returns those generators."""
     level = levels[i]
     gens_here = [g for j in range(i, len(levels)) for g in levels[j].gens]
     frontier = sorted(level.trans)
@@ -289,6 +324,19 @@ def _process_level(levels, i, identity):
                     level.trans[q] = _mul(g, rep)
                     nxt.append(q)
         frontier = sorted(nxt)
+    return gens_here
+
+
+def _process_level(levels, i, identity):
+    """Close level i: extend its transversal, then sift Schreier generators.
+
+    Returns None once every Schreier generator of the level sifts to the
+    identity, or the deeper level index where a non-trivial residue was
+    placed (the caller resumes work there).  Transversal entries are never
+    rewritten, so each (point, generator) pair is examined once.
+    """
+    level = levels[i]
+    gens_here = _close_orbit(levels, i)
     for p in sorted(level.trans):
         rep = level.trans[p]
         for g in gens_here:

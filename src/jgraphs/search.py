@@ -18,7 +18,10 @@ and isomorphisms are found by walking a tree depth-first against that
 path: a branch whose trace differs is pruned at the first difference, and
 the first leaf whose cell-by-cell map from the path's leaf preserves edges
 wins.  Discovered automorphisms prune sibling branches to one
-representative per orbit.
+representative per orbit.  The vertices individualized along the first
+path are a base for the automorphism group and the generators found are
+strong relative to it, so the group's stabilizer chain is seeded from
+them with no Schreier-Sims pass.
 """
 
 from __future__ import annotations
@@ -229,12 +232,16 @@ def _match(adj_leaf, path, leaf, adj, level, cells, todo=None):
 
 def _aut_generators(adj, cells):
     """Generators of the colour-preserving automorphism group of an already
-    equitable ordered partition.
+    equitable ordered partition, and the base they are strong for: the
+    vertex individualized at each level of the first path.
 
     Orbit-stabilizer scheme along the first path, deepest level first:
     with the generators of the level's stabilizer in hand, search one
     coset representative per orbit of the individualized vertex among the
-    remaining candidates of its cell.
+    remaining candidates of its cell.  A generator found at level L fixes
+    the vertices of levels 0..L-1 and moves the level-L vertex, and once
+    level L is done the generators found so far generate the pointwise
+    stabilizer of levels 0..L-1.
     """
     path, leaf = _first_path(adj, cells)
     gens = []
@@ -248,7 +255,7 @@ def _aut_generators(adj, cells):
             if rep is not None:
                 gens.append(rep)
                 reached = _orbit_mask(gens, v)
-    return gens
+    return gens, tuple(v for _, _, v, _ in path)
 
 
 def _initial_cells(g, colors):
@@ -308,18 +315,21 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None) -> PermGro
     permutations when an initial colouring is given.
 
     Every generator handed to the group is re-verified through
-    check_automorphism before it is returned.
+    check_automorphism before it is returned.  The stabilizer chain is
+    seeded from the search's first path, so ``base`` lists first-path
+    vertices and no Schreier-Sims pass runs.
     """
     _check_cap(g, cap)
     cells = _initial_cells(g, colors)
     _refine(g.adj, cells, deque(cells))
     gens = []
-    for images in _aut_generators(g.adj, cells):
+    found, base = _aut_generators(g.adj, cells)
+    for images in found:
         p = Perm(images)
         if not check_automorphism(g, p):
             raise RuntimeError("internal error: search produced a non-automorphism")
         gens.append(p)
-    return PermGroup(gens, g.n)
+    return PermGroup(gens, g.n, base=base)
 
 
 def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
@@ -424,25 +434,37 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
                 known.append(gamma)
                 known_set.add(gamma)
 
-    def search(cells, prefix):
+    # Depth-first over frames [cells, prefix, target position, explored];
+    # the candidates left are the target cell's unexplored vertices.  A
+    # frame picks its next candidate, and the known automorphisms fixing
+    # its prefix, only once the previous sibling's subtree is finished, as
+    # a recursive walk would.
+    stack = []
+
+    def descend(cells, prefix):
         k = _target_cell(cells)
         if k < 0:
             leaf(cells)
-            return
-        explored = 0
-        for u in bits(cells[k]):
-            if (explored >> u) & 1:
-                continue
-            fixers = [a for a in known if all(a[p] == p for p in prefix)]
-            explored |= _orbit_mask(fixers, u) if fixers else (1 << u)
-            branch = list(cells)
-            frags = _individualize(branch, k, u)
-            _refine(adj, branch, deque(frags))
-            search(branch, prefix + (u,))
+        else:
+            stack.append([cells, prefix, k, 0])
 
     cells0 = [(1 << n) - 1]
     _refine(adj, cells0, deque(cells0))
-    search(cells0, ())
+    descend(cells0, ())
+    while stack:
+        frame = stack[-1]
+        cells, prefix, k, explored = frame
+        todo = cells[k] & ~explored
+        if not todo:
+            stack.pop()
+            continue
+        u = (todo & -todo).bit_length() - 1
+        fixers = [a for a in known if all(a[p] == p for p in prefix)]
+        frame[3] = explored | (_orbit_mask(fixers, u) if fixers else (1 << u))
+        branch = list(cells)
+        frags = _individualize(branch, k, u)
+        _refine(adj, branch, deque(frags))
+        descend(branch, prefix + (u,))
     relabel = best[1]
     ordering = [0] * n
     for v in range(n):

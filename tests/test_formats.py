@@ -7,6 +7,7 @@ from jgraphs import (
     Graph,
     complete_graph,
     johnson_graph,
+    line_graph,
     parse_graph6,
     write_dot,
     write_edgelist,
@@ -93,6 +94,33 @@ class TestGraph6Parse:
             ]
             g = Graph.from_edges(n, edges)
             assert parse_graph6(write_graph6(g)) == g
+
+
+def assert_networkx_graph6_agrees(g):
+    nx = pytest.importorskip("networkx")
+    decoded = nx.from_graph6_bytes(write_graph6(g).encode())
+    assert decoded.number_of_nodes() == g.n
+    assert {(min(u, v), max(u, v)) for u, v in decoded.edges()} == set(g.edges())
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    assert parse_graph6(nx.to_graph6_bytes(h, header=False).decode().strip()) == g
+
+
+class TestGraph6Networkx:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random(self, data):
+        n = data.draw(st.integers(1, 20))
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(possible), max_size=40)) if possible else []
+        assert_networkx_graph6_agrees(Graph.from_edges(n, chosen))
+
+    def test_families_and_long_size_form(self):
+        rng = random.Random(63)
+        edges = [(u, v) for u in range(70) for v in range(u + 1, 70) if rng.random() < 0.2]
+        for g in (johnson_graph(8, 3), line_graph(complete_graph(9))[0], Graph.from_edges(70, edges)):
+            assert_networkx_graph6_agrees(g)
 
 
 class TestDot:

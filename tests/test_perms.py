@@ -162,6 +162,42 @@ class TestPermGroup:
         assert g.base == () and g.base_stabilizer_generators == ()
 
 
+class TestSeededChain:
+    # Sym(4) relative to the base (0, 1, 2): the generators that fix
+    # 0..i-1 generate the pointwise stabilizer of 0..i-1
+    SYM4 = [
+        Perm.from_cycles(4, (0, 1, 2, 3)),
+        Perm.from_cycles(4, (1, 2, 3)),
+        Perm.from_cycles(4, (2, 3)),
+    ]
+
+    def test_matches_schreier_sims(self):
+        seeded = PermGroup(self.SYM4, 4, base=(0, 1, 2))
+        full = group_from_generators(self.SYM4, 4)
+        assert seeded.order == full.order == 24
+        assert seeded.base == (0, 1, 2)
+        assert seeded.generators == tuple(self.SYM4)
+        assert set(seeded.elements()) == set(full.elements())
+        assert seeded.base_stabilizer_generators == tuple(self.SYM4[1:])
+
+    def test_levels_without_generators_are_dropped(self):
+        # (2 3) is the only generator: the levels of 0 and 1 are empty
+        g = PermGroup([Perm.from_cycles(4, (2, 3))], 4, base=(0, 1, 2))
+        assert g.base == (2,) and g.order == 2
+        assert PermGroup([], 4, base=(0, 1)).order == 1
+
+    def test_generator_fixing_every_base_point_rejected(self):
+        with pytest.raises(ValueError, match="fixes every base point"):
+            PermGroup([Perm.from_cycles(4, (0, 1)), Perm.from_cycles(4, (2, 3))], 4, base=(0, 1))
+        with pytest.raises(ValueError, match="fixes every base point"):
+            PermGroup([Perm.identity(3)], 3, base=(0,))
+
+    @pytest.mark.parametrize("base", [(0, 0, 1), (0, 4), (-1,)])
+    def test_malformed_base_rejected(self, base):
+        with pytest.raises(ValueError):
+            PermGroup(self.SYM4, 4, base=base)
+
+
 class TestBruteForce:
     def test_complete_graph(self):
         auts = brute_force_automorphisms(complete_graph(4))

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from itertools import combinations
@@ -17,7 +18,9 @@ from jgraphs import (
     color_refinement,
     complete_bipartite,
     complete_graph,
+    compose,
     find_isomorphism,
+    group_from_generators,
     johnson_graph,
     kneser_graph,
     line_graph,
@@ -189,6 +192,71 @@ class TestAutomorphismGroup:
             automorphism_group(johnson_graph(6, 3), cap=10)
 
 
+def assert_seeded_chain_matches_schreier_sims(g, colors, rng):
+    """The chain seeded from the search base against full Schreier-Sims on
+    the same generators: equal order and equal membership verdicts."""
+    aut = automorphism_group(g, colors=colors)
+    full = group_from_generators(aut.generators, g.n)
+    assert aut.order == full.order
+    for i, level in enumerate(aut._levels):
+        for images in level.gens:
+            assert all(images[b] == b for b in aut.base[:i])
+            assert images[aut.base[i]] != aut.base[i]
+    for _ in range(10):
+        p = Perm.identity(g.n)
+        for _ in range(rng.randint(1, 6) if aut.generators else 0):
+            p = compose(rng.choice(aut.generators), p)
+        assert aut.contains(p) and full.contains(p)
+        images = list(range(g.n))
+        rng.shuffle(images)
+        q = Perm(images)
+        assert aut.contains(q) == full.contains(q)
+
+
+class TestSeededChain:
+    @pytest.mark.parametrize(
+        "name,make",
+        [
+            ("Shrikhande", shrikhande),
+            ("L(K4,4)", lambda: line_graph(complete_bipartite(4, 4))[0]),
+            ("Chang", chang),
+            ("L(K8)", lambda: line_graph(complete_graph(8))[0]),
+            ("CFI(K4)", lambda: cfi_k4(False)),
+            ("J(6,3)", lambda: johnson_graph(6, 3)),
+            ("K12,12", lambda: complete_bipartite(12, 12)),
+        ],
+    )
+    def test_matches_schreier_sims(self, name, make):
+        g = make()
+        rng = random.Random(name)
+        assert_seeded_chain_matches_schreier_sims(g, None, rng)
+        half = [range(g.n // 2), range(g.n // 2, g.n)]
+        assert_seeded_chain_matches_schreier_sims(g, half, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_schreier_sims_on_small_graphs(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = list(combinations(range(n), 2))
+        g = Graph.from_edges(n, sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else [])
+        red = data.draw(st.sets(st.integers(0, n - 1)))
+        colors = [cell for cell in (red, set(range(n)) - red) if cell]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        assert_seeded_chain_matches_schreier_sims(g, None, rng)
+        assert_seeded_chain_matches_schreier_sims(g, colors, rng)
+
+    @pytest.mark.parametrize(
+        "name,make", [("E100", lambda: Graph(100, [0] * 100)), ("K100", lambda: complete_graph(100))]
+    )
+    def test_symmetric_group_of_degree_100(self, name, make):
+        aut = automorphism_group(make())
+        assert aut.order == math.factorial(100)
+        images = list(range(100))
+        random.Random(name).shuffle(images)
+        assert aut.contains(Perm(images))
+        assert aut.contains(Perm.from_cycles(100, (0, 1)))
+
+
 class TestCheckers:
     def test_check_automorphism_rejects_non_automorphism(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -338,6 +406,17 @@ class TestCanonicalForm:
         g = johnson_graph(5, 2)
         cf = canonical_form(g)
         assert sorted(cf.ordering) == list(range(g.n))
+
+    def test_deep_path_needs_no_recursion(self):
+        # 149 individualization levels, deeper than the recursion limit
+        g = Graph(150, [0] * 150)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            cf = canonical_form(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sorted(cf.ordering) == list(range(150))
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
