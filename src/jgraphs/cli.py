@@ -17,6 +17,8 @@ import json
 import os
 import signal
 import sys
+import threading
+import time
 from collections import Counter
 
 from ._version import __version__
@@ -61,10 +63,18 @@ def _run_with_time_limit(seconds, fn, *args, **kwargs):
     """Run fn under a wall-clock budget; raise _TimeLimit when it expires.
 
     seconds <= 0 disables the limit.  SIGALRM based, so one task at a
-    time; the previous handler and timer are restored on exit.
+    time; the previous handler and timer are restored on exit.  Only the
+    main thread may install a signal handler: elsewhere fn runs to the end
+    and _TimeLimit is raised afterwards if it overran.
     """
     if seconds is None or seconds <= 0:
         return fn(*args, **kwargs)
+    if threading.current_thread() is not threading.main_thread():
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        if time.perf_counter() - start > seconds:
+            raise _TimeLimit
+        return result
 
     def _alarm(signum, frame):
         raise _TimeLimit
@@ -94,24 +104,25 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _enforce_cap(g: Graph, cap: int) -> Graph:
-    if g.n > cap:
-        raise VertexCapExceeded(f"graph has {g.n} vertices, cap is {cap}")
-    return g
+def _enforce_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise VertexCapExceeded(f"graph has {n} vertices, cap is {cap}")
 
 
 def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     """Construct a graph from family tokens; returns (graph, family, leftovers).
 
-    line-of recurses, so ``line-of complete 4`` builds L(K_4).
+    line-of recurses, so ``line-of complete 4`` builds L(K_4).  Vertex
+    counts are checked against the cap before a graph is built.
     """
     if not tokens:
         raise ValueError("missing graph family (johnson|kneser|complete|bipartite|line-of)")
     name, rest = tokens[0], tokens[1:]
     if name == "line-of":
         base, _, rest = _build_family(rest, cap)
+        _enforce_cap(base.edge_count(), cap)
         lg, _ = line_graph(base)
-        return _enforce_cap(lg, cap), name, rest
+        return lg, name, rest
     if name not in FAMILY_PARAM_COUNTS:
         raise ValueError(f"unknown graph family {name!r}")
     want = FAMILY_PARAM_COUNTS[name]
@@ -127,9 +138,11 @@ def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     elif name == "kneser":
         g = kneser_graph(params[0], params[1], cap=cap)
     elif name == "complete":
-        g = _enforce_cap(complete_graph(params[0]), cap)
+        _enforce_cap(params[0], cap)
+        g = complete_graph(params[0])
     else:
-        g = _enforce_cap(complete_bipartite(params[0], params[1]), cap)
+        _enforce_cap(params[0] + params[1], cap)
+        g = complete_bipartite(params[0], params[1])
     return g, name, rest
 
 
@@ -149,7 +162,9 @@ def _read_graph(path: str, cap: int) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
-    return _enforce_cap(parse_graph6(text), cap)
+    g = parse_graph6(text)
+    _enforce_cap(g.n, cap)
+    return g
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -10,7 +10,7 @@ classic silent bug, hence the explicit function instead of an operator.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, bits
 
 BRUTE_FORCE_LIMIT = 10
 
@@ -140,6 +140,20 @@ def _inv(p):
     return tuple(out)
 
 
+def _orbit_mask(gens, start):
+    """Orbit of a point under image tuples, as a bit mask."""
+    seen = 1 << start
+    queue = [start]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = g[p]
+            if not (seen >> q) & 1:
+                seen |= 1 << q
+                queue.append(q)
+    return seen
+
+
 class _Level:
     __slots__ = ("point", "gens", "trans", "done")
 
@@ -150,7 +164,7 @@ class _Level:
         self.done = set()
 
 
-def _sift(levels, g, start, identity):
+def _sift(levels, g, start):
     """Strip g through the chain from the given level.
 
     Returns (residue, level index).  The residue fixes the base points of
@@ -225,23 +239,15 @@ class PermGroup:
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        residue, _ = _sift(self._levels, p.images, 0, self._identity)
+        residue, _ = _sift(self._levels, p.images, 0)
         return residue == self._identity
 
     def orbit(self, point: int) -> frozenset[int]:
         """Orbit of a point under the whole group."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside 0..{self.degree - 1}")
-        seen = {point}
-        queue = [point]
-        while queue:
-            p = queue.pop()
-            for g in self.generators:
-                q = g.images[p]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return frozenset(seen)
+        gens = [g.images for g in self.generators]
+        return frozenset(bits(_orbit_mask(gens, point)))
 
     @property
     def base_stabilizer_generators(self) -> tuple[Perm, ...]:
@@ -275,7 +281,7 @@ class PermGroup:
 def _schreier_sims(generators, identity):
     levels = []
     for g in generators:
-        residue, stuck = _sift(levels, g.images, 0, identity)
+        residue, stuck = _sift(levels, g.images, 0)
         if residue != identity:
             _place(levels, residue, stuck, identity)
     i = len(levels) - 1
@@ -347,7 +353,7 @@ def _process_level(levels, i, identity):
             schreier = _mul(_inv(level.trans[g[p]]), _mul(g, rep))
             if schreier == identity:
                 continue
-            residue, stuck = _sift(levels, schreier, i + 1, identity)
+            residue, stuck = _sift(levels, schreier, i + 1)
             if residue != identity:
                 _place(levels, residue, stuck, identity)
                 return stuck

@@ -13,15 +13,22 @@ Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
 vertex order.  The first path takes the smallest candidate at every level
 and keeps each level's refinement trace: the count signatures of its
-non-singleton cell tests, which an isomorphism preserves.  Automorphisms
-and isomorphisms are found by walking a tree depth-first against that
-path: a branch whose trace differs is pruned at the first difference, and
-the first leaf whose cell-by-cell map from the path's leaf preserves edges
-wins.  Discovered automorphisms prune sibling branches to one
-representative per orbit.  The vertices individualized along the first
-path are a base for the automorphism group and the generators found are
-strong relative to it, so the group's stabilizer chain is seeded from
-them with no Schreier-Sims pass.
+non-singleton cell tests, which an isomorphism preserves.
+
+One walker, ``_leaves``, yields the leaves of a search tree depth first,
+and it has two pruning rules, each sound for any search: a branch whose
+refinement trace differs from the first path's is dropped at the first
+difference, and a candidate in the orbit of an explored sibling under the
+known automorphisms that fix the branch's prefix is skipped.
+Automorphisms and isomorphisms are the first leaf whose cell-by-cell map
+from the first path's leaf preserves edges; the orbit-stabilizer loop
+over the path's levels keeps one coset representative per orbit.  The
+vertices individualized along the first path are a base for the
+automorphism group and the generators found are strong relative to it,
+so the group's stabilizer chain is seeded from them with no Schreier-Sims
+pass.  The canonical form is the leaf with the least relabelled
+adjacency, with the group's generators and every map between two equal
+leaves as known automorphisms.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapExceeded, bits
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, _orbit_mask
 
 
 @dataclass(frozen=True)
@@ -157,19 +164,6 @@ def _individualize(cells, k, v):
     return frags
 
 
-def _orbit_mask(gens, start):
-    seen = 1 << start
-    queue = [start]
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = g[p]
-            if not (seen >> q) & 1:
-                seen |= 1 << q
-                queue.append(q)
-    return seen
-
-
 def _maps_edges(adj_a, adj_b, images):
     for v, row in enumerate(adj_a):
         mapped = 0
@@ -197,36 +191,70 @@ def _first_path(adj, cells):
     return path, cells
 
 
+def _leaves(adj, cells, traces=None, level=0, todo=None, known=()):
+    """Yield the discrete leaf partitions of the tree of adj below the
+    equitable ``cells``, depth first, candidates in ascending order: those
+    in ``todo`` at the top (default: the whole target cell), the whole
+    target cell deeper down.
+
+    ``cells`` sits at ``level`` of the tree.  With ``traces`` (one per
+    level), a branch whose refinement trace differs is pruned.  A
+    candidate in the orbit of an explored sibling under the automorphisms
+    in ``known`` that fix the frame's prefix is skipped; ``known`` is read
+    whenever a frame picks its next candidate, which happens only once
+    every leaf yielded before has been handled, so automorphisms appended
+    between leaves prune from then on.
+    """
+    k = _target_cell(cells)
+    if k < 0:
+        yield cells
+        return
+    # frames: [cells, prefix, target position, candidates left]
+    stack = [[cells, (), k, cells[k] if todo is None else todo]]
+    while stack:
+        frame = stack[-1]
+        cells, prefix, k, left = frame
+        if not left:
+            stack.pop()
+            continue
+        u = (left & -left).bit_length() - 1
+        fixers = [a for a in known if all(a[p] == p for p in prefix)]
+        frame[3] = left & ~_orbit_mask(fixers, u)
+        branch = list(cells)
+        frags = _individualize(branch, k, u)
+        expect = None if traces is None else traces[level + len(prefix)]
+        if not _refine(adj, branch, deque(frags), expect=expect):
+            continue
+        k = _target_cell(branch)
+        if k < 0:
+            yield branch
+        else:
+            stack.append([branch, prefix + (u,), k, branch[k]])
+
+
+def _leaf_map(leaf_a, leaf_b):
+    """The cell-by-cell map from one discrete partition onto another, as a
+    tuple of images."""
+    images = [0] * len(leaf_a)
+    for cell_a, cell_b in zip(leaf_a, leaf_b):
+        images[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
+    return tuple(images)
+
+
 def _match(adj_leaf, path, leaf, adj, level, cells, todo=None):
     """The first leaf, in depth-first order, of the tree of adj below
     ``cells`` whose cell-by-cell map from the path's leaf is an
     isomorphism from adj_leaf onto adj, as a tuple of images, or None.
 
-    ``cells`` is refined in line with the path at ``level``.  Candidates
-    run in ascending order: those in ``todo`` at that level (default: the
-    cell at the path's target position), the whole cell deeper down.  A
-    branch whose refinement trace differs from the path's is pruned.
+    ``cells`` is refined in line with the path at ``level``; ``todo``
+    limits the candidates there, and a branch whose refinement trace
+    differs from the path's is pruned.
     """
-    stack = [(level, cells, todo)]
-    while stack:
-        level, cells, todo = stack.pop()
-        if level == len(path):
-            images = [0] * len(leaf)
-            for cell_a, cell_b in zip(leaf, cells):
-                images[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
-            if _maps_edges(adj_leaf, adj, images):
-                return tuple(images)
-            continue
-        _, k, _, trace = path[level]
-        if todo is None:
-            todo = cells[k]
-        low = todo & -todo
-        if todo != low:
-            stack.append((level, cells, todo ^ low))
-        branch = list(cells)
-        frags = _individualize(branch, k, low.bit_length() - 1)
-        if _refine(adj, branch, deque(frags), expect=trace):
-            stack.append((level + 1, branch, None))
+    traces = [trace for _, _, _, trace in path]
+    for other in _leaves(adj, cells, traces, level, todo):
+        images = _leaf_map(leaf, other)
+        if _maps_edges(adj_leaf, adj, images):
+            return images
     return None
 
 
@@ -408,12 +436,12 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     adj = g.adj
     known = [p.images for p in automorphism_group(g, cap=cap).generators]
     known_set = set(known)
-    best: list = [None, None]
-
-    def leaf(cells):
-        relabel = [0] * n
-        for position, cell in enumerate(cells):
-            relabel[cell.bit_length() - 1] = position
+    positions = [1 << i for i in range(n)]
+    cells = [(1 << n) - 1]
+    _refine(adj, cells, deque(cells))
+    best_key = best_leaf = None
+    for leaf in _leaves(adj, cells, known=known):
+        relabel = _leaf_map(leaf, positions)
         rows = [0] * n
         for v in range(n):
             mapped = 0
@@ -421,57 +449,17 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
                 mapped |= 1 << relabel[w]
             rows[relabel[v]] = mapped
         key = tuple(rows)
-        if best[0] is None or key < best[0]:
-            best[0] = key
-            best[1] = relabel
-        elif key == best[0]:
-            other = best[1]
-            position_of = [0] * n
-            for v in range(n):
-                position_of[other[v]] = v
-            gamma = tuple(position_of[relabel[v]] for v in range(n))
+        if best_key is None or key < best_key:
+            best_key, best_leaf = key, leaf
+        elif key == best_key:
+            gamma = _leaf_map(best_leaf, leaf)
             if gamma not in known_set and _maps_edges(adj, adj, gamma):
                 known.append(gamma)
                 known_set.add(gamma)
-
-    # Depth-first over frames [cells, prefix, target position, explored];
-    # the candidates left are the target cell's unexplored vertices.  A
-    # frame picks its next candidate, and the known automorphisms fixing
-    # its prefix, only once the previous sibling's subtree is finished, as
-    # a recursive walk would.
-    stack = []
-
-    def descend(cells, prefix):
-        k = _target_cell(cells)
-        if k < 0:
-            leaf(cells)
-        else:
-            stack.append([cells, prefix, k, 0])
-
-    cells0 = [(1 << n) - 1]
-    _refine(adj, cells0, deque(cells0))
-    descend(cells0, ())
-    while stack:
-        frame = stack[-1]
-        cells, prefix, k, explored = frame
-        todo = cells[k] & ~explored
-        if not todo:
-            stack.pop()
-            continue
-        u = (todo & -todo).bit_length() - 1
-        fixers = [a for a in known if all(a[p] == p for p in prefix)]
-        frame[3] = explored | (_orbit_mask(fixers, u) if fixers else (1 << u))
-        branch = list(cells)
-        frags = _individualize(branch, k, u)
-        _refine(adj, branch, deque(frags))
-        descend(branch, prefix + (u,))
-    relabel = best[1]
-    ordering = [0] * n
-    for v in range(n):
-        ordering[relabel[v]] = v
+    ordering = [cell.bit_length() - 1 for cell in best_leaf]
     edges = []
     for i in range(n):
-        row = best[0][i] >> (i + 1)
+        row = best_key[i] >> (i + 1)
         for w in bits(row):
             edges.append((i, i + 1 + w))
     return CanonicalForm(n, ordering, edges)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import jsonschema
 import pytest
@@ -79,6 +80,25 @@ class TestGen:
 
     def test_cap_exceeded_resource_error(self, capsys):
         assert run_cli(capsys, "gen", "johnson", "20", "10")[0] == 3
+
+    @pytest.mark.parametrize(
+        "builder,family",
+        [
+            ("complete_graph", ["complete", "100000"]),
+            ("complete_bipartite", ["bipartite", "4000", "4000"]),
+            ("line_graph", ["line-of", "complete", "150"]),
+        ],
+    )
+    def test_over_cap_family_is_rejected_before_it_is_built(
+        self, capsys, monkeypatch, builder, family
+    ):
+        def refuse(*args):
+            raise AssertionError(f"{builder} called for an over-cap graph")
+
+        monkeypatch.setattr(f"jgraphs.cli.{builder}", refuse)
+        code, _, err = run_cli(capsys, "gen", *family)
+        assert code == 3
+        assert "cap is 5000" in err
 
     def test_env_var_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("JGRAPHS_CAP", "5")
@@ -178,6 +198,33 @@ class TestVerify:
         assert code == 3
         assert doc[0]["status"] == "timeout"
         assert doc[0]["n"] == 9 and doc[0]["m"] == 4
+
+    @staticmethod
+    def verify_in_thread(validator, tmp_path, *argv):
+        out = tmp_path / "report.json"
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(main(["verify", *argv, "--out", str(out)]))
+        )
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        doc = json.loads(out.read_text())
+        assert not list(validator.iter_errors(doc))
+        return codes[0], doc
+
+    def test_runs_off_the_main_thread(self, validator, tmp_path):
+        code, doc = self.verify_in_thread(validator, tmp_path, "--n", "6", "--m", "3")
+        assert code == 0
+        assert doc[0]["status"] == "ok" and doc[0]["passed"]
+
+    def test_time_limit_off_the_main_thread(self, validator, tmp_path):
+        code, doc = self.verify_in_thread(
+            validator, tmp_path, "--n", "6", "--m", "3", "--time-limit", "1e-6"
+        )
+        assert code == 3
+        assert doc[0]["status"] == "timeout"
+        assert doc[0]["n"] == 6 and doc[0]["m"] == 3
 
     def test_seed_recorded(self, capsys, validator):
         _, doc, _ = run_json(

@@ -16,6 +16,7 @@ from jgraphs import (
     canonical_form,
     check_automorphism,
     color_refinement,
+    complement,
     complete_bipartite,
     complete_graph,
     compose,
@@ -91,6 +92,20 @@ def cfi_k4(twisted: bool) -> Graph:
         for i in (0, 1):
             edges.append((vertex(("a", x, e, i)), vertex(("a", y, e, i ^ flip))))
     return Graph.from_edges(40, edges)
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph.from_edges(a.n + b.n, list(a.edges()) + shifted)
+
+
+def paley(p: int) -> Graph:
+    """Paley graph on Z_p, p = 1 mod 4 prime: x ~ y when x - y is a
+    non-zero square.  Self-complementary, with a group of order p(p-1)/2."""
+    squares = {x * x % p for x in range(1, p)}
+    return Graph.from_edges(
+        p, [(a, b) for a, b in combinations(range(p), 2) if (b - a) % p in squares]
+    )
 
 
 def networkx_graph(g: Graph):
@@ -272,8 +287,6 @@ class TestCheckers:
 
 class TestFindIsomorphism:
     def test_petersen_complement_vs_johnson(self):
-        from jgraphs import complement
-
         g = complement(kneser_graph(5, 2))
         h = johnson_graph(5, 2)
         p = find_isomorphism(g, h)
@@ -339,6 +352,56 @@ class TestRefinementResistantPairs:
             h = relabel(g, Perm(images))
             p = find_isomorphism(g, h)
             assert p is not None and verify_isomorphism(g, h, p)
+
+
+class TestAdversarialCorpus:
+    """Disjoint unions whose components colour refinement cannot tell
+    apart, so the search must leave the first path and find automorphisms
+    at equal leaves, and self-complementary Paley graphs."""
+
+    CASES = {
+        "Shrikhande + L(K4,4)": (
+            lambda: disjoint_union(shrikhande(), line_graph(complete_bipartite(4, 4))[0]),
+            221184,
+        ),
+        "Shrikhande + Shrikhande": (lambda: disjoint_union(shrikhande(), shrikhande()), 73728),
+        "Chang + L(K8)": (
+            lambda: disjoint_union(chang(), line_graph(complete_graph(8))[0]), 15482880
+        ),
+        "J(6,3) + J(6,3)": (
+            lambda: disjoint_union(johnson_graph(6, 3), johnson_graph(6, 3)), 4147200
+        ),
+        "J(7,3) + K(7,3)": (
+            lambda: disjoint_union(johnson_graph(7, 3), kneser_graph(7, 3)), 25401600
+        ),
+        "Paley(13)": (lambda: paley(13), 78),
+        "Paley(17)": (lambda: paley(17), 136),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_order_witness_and_canonical_form(self, name):
+        make, order = self.CASES[name]
+        g = make()
+        assert automorphism_group(g).order == order
+        images = list(range(g.n))
+        random.Random(name).shuffle(images)
+        h = relabel(g, Perm(images))
+        p = find_isomorphism(g, h)
+        assert p is not None and verify_isomorphism(g, h, p)
+        assert canonical_form(g) == canonical_form(h)
+
+    def test_unions_of_srg_twins_differ(self):
+        a = disjoint_union(shrikhande(), line_graph(complete_bipartite(4, 4))[0])
+        b = disjoint_union(shrikhande(), shrikhande())
+        assert canonical_form(a) != canonical_form(b)
+
+    @pytest.mark.parametrize("p", [13, 17])
+    def test_paley_is_self_complementary(self, p):
+        g = paley(p)
+        co = complement(g)
+        q = find_isomorphism(g, co)
+        assert q is not None and verify_isomorphism(g, co, q)
+        assert canonical_form(g) == canonical_form(co)
 
 
 class TestOracles:
