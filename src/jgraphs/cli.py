@@ -368,7 +368,7 @@ def _add_common(parser, *, seed=False, time_limit=False) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if seed:
         parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                            help="seed for sampled checks")
+                            help="seed recorded in the report; no check draws from it")
     if time_limit:
         parser.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
                             help="wall-clock seconds per (n, m) pair, 0 disables")

@@ -191,21 +191,25 @@ def _first_path(adj, cells):
     return path, cells
 
 
-def _leaves(adj, cells, traces=None, level=0, todo=None, known=()):
+def _leaves(adj, cells, path=None, level=0, todo=None, known=()):
     """Yield the discrete leaf partitions of the tree of adj below the
     equitable ``cells``, depth first, candidates in ascending order: those
     in ``todo`` at the top (default: the whole target cell), the whole
     target cell deeper down.
 
-    ``cells`` sits at ``level`` of the tree.  With ``traces`` (one per
-    level), a branch whose refinement trace differs is pruned.  A
-    candidate in the orbit of an explored sibling under the automorphisms
-    in ``known`` that fix the frame's prefix is skipped; ``known`` is read
-    whenever a frame picks its next candidate, which happens only once
-    every leaf yielded before has been handled, so automorphisms appended
-    between leaves prune from then on.
+    ``cells`` sits at ``level`` of the tree.  With the first ``path``, a
+    branch whose refinement trace differs from the path's at its level is
+    pruned; equal traces give equal cell shapes, so every target position
+    is read from the path.  A candidate in the orbit of an explored
+    sibling under the automorphisms in ``known`` that fix the frame's
+    prefix is skipped; ``known`` is read whenever a frame picks its next
+    candidate, which happens only once every leaf yielded before has been
+    handled, so automorphisms appended between leaves prune from then on.
     """
-    k = _target_cell(cells)
+    if path is None:
+        k = _target_cell(cells)
+    else:
+        k = path[level][1] if level < len(path) else -1
     if k < 0:
         yield cells
         return
@@ -222,10 +226,15 @@ def _leaves(adj, cells, traces=None, level=0, todo=None, known=()):
         frame[3] = left & ~_orbit_mask(fixers, u)
         branch = list(cells)
         frags = _individualize(branch, k, u)
-        expect = None if traces is None else traces[level + len(prefix)]
-        if not _refine(adj, branch, deque(frags), expect=expect):
-            continue
-        k = _target_cell(branch)
+        if path is None:
+            if not _refine(adj, branch, deque(frags)):
+                continue
+            k = _target_cell(branch)
+        else:
+            depth = level + len(prefix) + 1
+            if not _refine(adj, branch, deque(frags), expect=path[depth - 1][3]):
+                continue
+            k = path[depth][1] if depth < len(path) else -1
         if k < 0:
             yield branch
         else:
@@ -250,8 +259,7 @@ def _match(adj_leaf, path, leaf, adj, level, cells, todo=None):
     limits the candidates there, and a branch whose refinement trace
     differs from the path's is pruned.
     """
-    traces = [trace for _, _, _, trace in path]
-    for other in _leaves(adj, cells, traces, level, todo):
+    for other in _leaves(adj, cells, path, level, todo):
         images = _leaf_map(leaf, other)
         if _maps_edges(adj_leaf, adj, images):
             return images

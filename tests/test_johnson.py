@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import jgraphs.johnson
+import jgraphs.search
 from jgraphs import (
     Graph,
     Perm,
@@ -36,7 +38,9 @@ from jgraphs import (
     verify_johnson_aut,
     whitney_lift,
     automorphism_group,
+    binomial,
 )
+from jgraphs.cli import main as cli_main
 
 
 def standard_sym_generators(n):
@@ -418,21 +422,37 @@ class TestTransitivityAgainstPairOrbits:
         assert flags == pair_orbit_profile(g, group) == expected
 
 
+EVEN_CHECKS = [
+    "aut_order",
+    "induced_action_injective",
+    "complement_map_involution",
+    "induced_subgroup_order",
+    "complement_map_outside_induced_subgroup",
+    "complement_map_commutes",
+    "full_group_order_with_complement_map",
+    "stabilizer_index",
+    "stabilizer_bound",
+    "intersection_uniqueness",
+    "intersection_uniqueness_first_layer",
+    "vertex_transitive",
+    "edge_transitive",
+    "distance_transitive",
+]
+ODD_CHECKS = EVEN_CHECKS[:2] + EVEN_CHECKS[7:]  # no n = 2m block
+
+
 class TestVerifyReport:
     def test_small_even_pair(self):
         rep = verify_johnson_aut(6, 3)
         assert rep.passed
         assert rep.aut_order == 1440 and rep.expected_order == 1440
         assert rep.stabilizer_order == 72  # 2 * (3!)^2
-        names = [c.name for c in rep.checks]
-        assert "complement_map_involution" in names
-        assert "full_group_order_with_complement_map" in names
+        assert [c.name for c in rep.checks] == EVEN_CHECKS
 
     def test_odd_pair_has_no_complement_block(self):
         rep = verify_johnson_aut(7, 3)
         assert rep.passed and rep.aut_order == 5040
-        names = [c.name for c in rep.checks]
-        assert not any(name.startswith("complement_map") for name in names)
+        assert [c.name for c in rep.checks] == ODD_CHECKS
         assert rep.stabilizer_order == 144  # 3! * 4!
 
     def test_m2_uniqueness_recorded_not_asserted(self):
@@ -484,3 +504,92 @@ class TestVerifyReport:
         b = verify_johnson_aut(6, 3, seed=5).to_json_dict()
         a.pop("elapsed_seconds"); b.pop("elapsed_seconds")
         assert a == b
+
+
+class TestVerifyArgument:
+    """The structure checks of verify_johnson_aut: their names, and that
+    each one fails when the map it reasons about is faked."""
+
+    @staticmethod
+    def assert_fails(capsys, n, m, *names):
+        rep = verify_johnson_aut(n, m)
+        for name in names:
+            assert not rep.check(name).passed, name
+        assert not rep.passed
+        assert cli_main(["verify", "--n", str(n), "--m", str(m)]) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (7, 3)])
+    def test_trivial_action_fails_injectivity(self, monkeypatch, capsys, n, m):
+        monkeypatch.setattr(
+            jgraphs.johnson, "induced_action", lambda theta, n, m: Perm.identity(binomial(n, m))
+        )
+        names = ["induced_action_injective"]
+        if n == 2 * m:
+            # the order is carried over to the lifts only by faithfulness
+            names += ["induced_subgroup_order", "full_group_order_with_complement_map"]
+        self.assert_fails(capsys, n, m, *names)
+
+    def test_klein_kernel_fails_injectivity(self, monkeypatch, capsys):
+        real = jgraphs.johnson.induced_action
+        klein = Perm.from_cycles(4, (0, 1), (2, 3))
+
+        def fake(theta, n, m):
+            return Perm.identity(6) if theta == klein else real(theta, n, m)
+
+        monkeypatch.setattr(jgraphs.johnson, "induced_action", fake)
+        self.assert_fails(capsys, 4, 2, "induced_action_injective")
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_induced_involution_is_not_complementation(self, monkeypatch, capsys, m):
+        def fake(m):
+            halves = Perm.from_cycles(2 * m, *[(i, m + i) for i in range(m)])
+            return induced_action(halves, 2 * m, m)
+
+        monkeypatch.setattr(jgraphs.johnson, "complementation_map", fake)
+        self.assert_fails(
+            capsys, 2 * m, m,
+            "complement_map_outside_induced_subgroup",
+            "full_group_order_with_complement_map",
+        )
+
+    def test_full_order_needs_complementation_outside(self, monkeypatch, capsys):
+        # lifts of the standard generators faked to the identity, so the
+        # induced involution below passes every premise but non-membership
+        real = jgraphs.johnson.induced_action
+        standard = standard_sym_generators(6)
+        halves = real(Perm.from_cycles(6, (0, 3), (1, 4), (2, 5)), 6, 3)
+        monkeypatch.setattr(
+            jgraphs.johnson,
+            "induced_action",
+            lambda theta, n, m: Perm.identity(20) if theta in standard else real(theta, n, m),
+        )
+        monkeypatch.setattr(jgraphs.johnson, "complementation_map", lambda m: halves)
+        rep = verify_johnson_aut(6, 3)
+        premises = ["complement_map_involution", "induced_subgroup_order", "complement_map_commutes"]
+        assert all(rep.check(name).passed for name in premises)
+        self.assert_fails(
+            capsys, 6, 3,
+            "complement_map_outside_induced_subgroup",
+            "full_group_order_with_complement_map",
+        )
+
+    def test_no_sampling_and_no_bare_chain_of_vertex_degree(self, monkeypatch):
+        built = []
+        for module in (jgraphs.johnson, jgraphs.search):
+            def recording(generators, degree, *, base=None, _cls=module.PermGroup):
+                built.append((degree, base is not None))
+                return _cls(generators, degree, base=base)
+
+            monkeypatch.setattr(module, "PermGroup", recording)
+
+        class NoDraws(random.Random):
+            def __init__(self, *args):
+                raise AssertionError("the verifier drew random numbers")
+
+        monkeypatch.setattr(random, "Random", NoDraws)
+        state = random.getstate()
+        rep = verify_johnson_aut(8, 4)
+        assert rep.passed and random.getstate() == state
+        assert (8, False) in built and (70, True) in built
+        assert all(seeded for degree, seeded in built if degree == 70)
