@@ -190,6 +190,13 @@ class TestVerify:
         assert code == 3
         assert "(20,10)" in err and "(21,10)" in err
 
+    def test_ground_set_above_64_is_usage_error(self, capsys):
+        # C(65, 2) = 2080 is under the cap; the ground set is what is wrong
+        _, _, gen_err = run_cli(capsys, "gen", "johnson", "65", "1")
+        code, out, err = run_cli(capsys, "verify", "--n", "65", "--m", "2")
+        assert code == 2 and out == ""
+        assert err == gen_err == "error: ground set size must be in 0..64, got 65\n"
+
     def test_timeout_marks_pair_and_exits_resource(self, capsys, validator):
         code, doc, _ = run_json(
             capsys, validator, "verify", "--n", "9", "--m", "4",

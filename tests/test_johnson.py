@@ -494,6 +494,27 @@ class TestVerifyReport:
         # the uniqueness sweep, plus one BFS for distance transitivity
         assert sorted(sources[:20]) == list(range(20)) and len(sources) == 21
 
+    @pytest.mark.parametrize("all_sources", [False, True])
+    def test_one_automorphism_search(self, monkeypatch, all_sources):
+        calls = []
+
+        def counting(g, colors=None, cap=None):
+            calls.append(colors)
+            return automorphism_group(g, colors=colors, cap=cap)
+
+        monkeypatch.setattr(jgraphs.johnson, "automorphism_group", counting)
+        assert verify_johnson_aut(6, 3, all_sources=all_sources).passed
+        assert calls == [None]
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3), (8, 4)])
+    def test_stabilizer_order_matches_coloured_search(self, n, m):
+        # an independent coloured search per source against orbit-stabilizer
+        g = johnson_graph(n, m)
+        order = verify_johnson_aut(n, m).stabilizer_order
+        for x in (0, g.n // 2, g.n - 1):
+            rest = [v for v in range(g.n) if v != x]
+            assert automorphism_group(g, colors=[[x], rest]).order == order, x
+
     def test_rejects_invalid_parameters(self):
         for n, m in [(3, 1), (5, 1), (5, 3), (6, 4)]:
             with pytest.raises(ValueError):
@@ -573,6 +594,22 @@ class TestVerifyArgument:
             "complement_map_outside_induced_subgroup",
             "full_group_order_with_complement_map",
         )
+
+    @pytest.mark.parametrize("n,m", [(6, 3), (7, 3)])
+    def test_stabilizer_in_place_of_the_group_fails(self, monkeypatch, capsys, n, m):
+        def stabilizer(g, colors=None, cap=None):
+            return automorphism_group(g, colors=[[0], range(1, g.n)], cap=cap)
+
+        monkeypatch.setattr(jgraphs.johnson, "automorphism_group", stabilizer)
+        # vertex 0 is its own orbit, so the whole faked group is its stabilizer
+        assert verify_johnson_aut(n, m).stabilizer_order == bipartite_aut_order(m, n - m)
+        self.assert_fails(capsys, n, m, "stabilizer_index", "aut_order", "vertex_transitive")
+
+    @pytest.mark.parametrize("n,m", [(6, 3), (7, 3)])
+    def test_halved_bipartite_bound_fails(self, monkeypatch, capsys, n, m):
+        real = jgraphs.johnson.bipartite_aut_order
+        monkeypatch.setattr(jgraphs.johnson, "bipartite_aut_order", lambda s, t: real(s, t) // 2)
+        self.assert_fails(capsys, n, m, "stabilizer_bound")
 
     def test_no_sampling_and_no_bare_chain_of_vertex_degree(self, monkeypatch):
         built = []
