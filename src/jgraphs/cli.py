@@ -40,7 +40,7 @@ from .johnson import (
     transitivity_profile,
     verify_johnson_aut,
 )
-from .formats import parse_graph6, write_dot, write_edgelist, write_graph6
+from .formats import _graph6_size, parse_graph6, write_dot, write_edgelist, write_graph6
 from .search import automorphism_group, find_isomorphism, verify_isomorphism
 from .subsets import binomial
 
@@ -162,9 +162,8 @@ def _read_graph(path: str, cap: int) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
-    g = parse_graph6(text)
-    _enforce_cap(g.n, cap)
-    return g
+    _enforce_cap(_graph6_size(text)[0], cap)
+    return parse_graph6(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -7,9 +7,12 @@ for handing graphs to Graphviz or a spreadsheet.
 
 from __future__ import annotations
 
+import re
+
 from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+_NOT_GRAPH6 = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 
 # graph6 size encoding switches representation at these bounds
 _SMALL_N_MAX = 62
@@ -48,21 +51,22 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string.
+def _graph6_size(text: str) -> tuple[int, str]:
+    """Vertex count and undecoded body of one graph6 string, so a caller
+    can check n against a cap before the body is decoded.
 
-    An optional leading ``>>graph6<<`` header is accepted and stripped;
-    surrounding whitespace is ignored.  Raises ValueError on malformed
-    input, including nonzero padding bits or a wrong body length.
+    Strips surrounding whitespace and an optional ``>>graph6<<`` header;
+    raises ValueError on a character outside the graph6 range or a
+    malformed size field.
     """
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise ValueError("empty graph6 string")
-    for ch in s:
-        if not (63 <= ord(ch) <= 126):
-            raise ValueError(f"invalid graph6 character {ch!r}")
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        raise ValueError(f"invalid graph6 character {bad.group()!r}")
 
     if ord(s[0]) == 126:
         if len(s) < 4:
@@ -73,10 +77,18 @@ def parse_graph6(text: str) -> Graph:
         n = (a << 12) | (b << 6) | c
         if n <= _SMALL_N_MAX:
             raise ValueError(f"non-minimal graph6 size encoding for n={n}")
-        body = s[4:]
-    else:
-        n = ord(s[0]) - 63
-        body = s[1:]
+        return n, s[4:]
+    return ord(s[0]) - 63, s[1:]
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 string.
+
+    An optional leading ``>>graph6<<`` header is accepted and stripped;
+    surrounding whitespace is ignored.  Raises ValueError on malformed
+    input, including nonzero padding bits or a wrong body length.
+    """
+    n, body = _graph6_size(text)
 
     nbits = n * (n - 1) // 2
     expected_len = (nbits + 5) // 6

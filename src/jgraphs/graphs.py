@@ -11,6 +11,7 @@ colex rank order from the subsets module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .subsets import SubsetLabel, binomial, unrank_subset
@@ -120,22 +121,27 @@ class Graph:
 class DistancePartition:
     """BFS layers around a source vertex.
 
-    ``layers[i]`` is the set of vertices at distance i; ``dist[v]`` is None
+    ``masks[i]`` is the set of vertices at distance i as a bit mask, and
+    ``layers[i]`` is the same set as a frozenset; ``dist[v]`` is None
     exactly when v is unreachable from the source, and unreachable vertices
     appear in no layer.
     """
 
     source: int
-    layers: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     dist: tuple
 
     @property
+    def layers(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits(mask)) for mask in self.masks)
+
+    @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
+        return tuple(mask.bit_count() for mask in self.masks)
 
     @property
     def eccentricity(self) -> int:
-        return len(self.layers) - 1
+        return len(self.masks) - 1
 
     @property
     def unreachable(self) -> frozenset[int]:
@@ -159,15 +165,23 @@ def complete_bipartite(s: int, t: int) -> Graph:
     return Graph(n, [y_mask if v < s else x_mask for v in range(n)])
 
 
+@lru_cache(maxsize=32)
+def _colex_index(n: int, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Masks of the m-subsets of {1..n} in colex rank order, and mask -> rank."""
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
+    masks = tuple(unrank_subset(r, n, m).mask for r in range(binomial(n, m)))
+    return masks, {mask: r for r, mask in enumerate(masks)}
+
+
 def _subset_family(n: int, m: int, cap: int):
     if not 1 <= m <= n - 1:
         raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
     count = binomial(n, m)
     if count > cap:
         raise VertexCapExceeded(f"C({n},{m}) = {count} exceeds the vertex cap {cap}")
-    labels = [unrank_subset(r, n, m) for r in range(count)]
-    index = {label.mask: r for r, label in enumerate(labels)}
-    return count, labels, index
+    masks, index = _colex_index(n, m)
+    return count, [SubsetLabel(n, mask) for mask in masks], index
 
 
 def johnson_graph(n: int, m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -263,15 +277,16 @@ def distance_partition(g: Graph, source: int) -> DistancePartition:
 
     This is the one BFS kernel of the package.  Each step grows the whole
     frontier at once: the next layer is the OR of the frontier's rows with
-    every vertex seen so far masked out.
+    every vertex seen so far masked out, and each frontier is kept as a
+    layer mask.
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} outside 0..{g.n - 1}")
     adj = g.adj
     dist = [None] * g.n
     dist[source] = 0
-    layers = [frozenset([source])]
-    seen = frontier = 1 << source
+    masks = [1 << source]
+    seen = frontier = masks[0]
     d = 0
     while True:
         reach = 0
@@ -282,11 +297,10 @@ def distance_partition(g: Graph, source: int) -> DistancePartition:
             break
         seen |= frontier
         d += 1
-        layer = tuple(bits(frontier))
-        for v in layer:
+        for v in bits(frontier):
             dist[v] = d
-        layers.append(frozenset(layer))
-    return DistancePartition(source, tuple(layers), tuple(dist))
+        masks.append(frontier)
+    return DistancePartition(source, tuple(masks), tuple(dist))
 
 
 def distance_table(g: Graph) -> tuple[tuple, ...]:

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from ._version import __version__
 from .graphs import (
     DEFAULT_VERTEX_CAP,
-    DistancePartition,
     Graph,
+    _colex_index,
     bits,
     complete_bipartite,
     distance_partition,
@@ -35,20 +34,9 @@ from .graphs import (
 )
 from .perms import Perm, PermGroup, _orbit_mask, compose
 from .search import automorphism_group, check_automorphism
-from .subsets import SubsetLabel, binomial, intersection_size, unrank_subset
+from .subsets import SubsetLabel, intersection_size
 
 DEFAULT_SEED = 1729
-
-
-@lru_cache(maxsize=32)
-def _johnson_index(n: int, m: int):
-    """Masks in colex order plus the mask -> rank lookup for (n, m)."""
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
-    count = binomial(n, m)
-    masks = tuple(unrank_subset(r, n, m).mask for r in range(count))
-    index = {mask: r for r, mask in enumerate(masks)}
-    return masks, index
 
 
 def induced_action(theta: Perm, n: int, m: int) -> Perm:
@@ -56,7 +44,7 @@ def induced_action(theta: Perm, n: int, m: int) -> Perm:
     permutation theta (0-based points stand for elements 1..n)."""
     if theta.degree != n:
         raise ValueError(f"ground permutation degree {theta.degree} != {n}")
-    masks, index = _johnson_index(n, m)
+    masks, index = _colex_index(n, m)
     images = []
     for mask in masks:
         moved = 0
@@ -71,7 +59,7 @@ def complementation_map(m: int) -> Perm:
     if m < 1:
         raise ValueError(f"subset size must be positive, got {m}")
     n = 2 * m
-    masks, index = _johnson_index(n, m)
+    masks, index = _colex_index(n, m)
     full = (1 << n) - 1
     return Perm([index[mask ^ full] for mask in masks])
 
@@ -124,7 +112,7 @@ def neighborhood_iso(n: int, m: int, v: SubsetLabel) -> tuple[int, ...]:
     ys = v.complement().elements()
     bip = complete_bipartite(m, n - m)
     line, edge_map = line_graph(bip)
-    masks, index = _johnson_index(n, m)
+    masks, index = _colex_index(n, m)
     phi = []
     for i, j in edge_map:
         mask = (v.mask ^ (1 << (xs[i] - 1))) | (1 << (ys[j - m] - 1))
@@ -160,6 +148,16 @@ class IntersectionWitness:
     extras: frozenset[int]
 
 
+def _meet(g: Graph, masks: tuple[int, ...], d: int, v: int) -> int:
+    """The vertices of layer d adjacent to every back-neighbour of v, as a
+    mask; ``masks`` are the BFS layer masks around a source and v lies in
+    layer d >= 1."""
+    meet = masks[d]
+    for w in bits(g.adj[v] & masks[d - 1]):
+        meet &= g.adj[w]
+    return meet
+
+
 def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness:
     """Check that v is the only vertex of its layer around x adjacent to
     every back-neighbour of v.
@@ -172,26 +170,13 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     """
     if x == v:
         raise ValueError("source and probe vertex must differ")
-    return _intersection_witness(g, distance_partition(g, x), v)
-
-
-def _intersection_witness(g: Graph, dp: DistancePartition, v: int) -> IntersectionWitness:
-    """The uniqueness probe for v against an already computed partition."""
+    dp = distance_partition(g, x)
     d = dp.dist[v]
     if d is None:
-        raise ValueError(f"vertex {v} is unreachable from {dp.source}")
-    prev_mask = 0
-    for w in dp.layers[d - 1]:
-        prev_mask |= 1 << w
-    layer_mask = 0
-    for w in dp.layers[d]:
-        layer_mask |= 1 << w
-    meet = layer_mask
-    for w in bits(g.adj[v] & prev_mask):
-        meet &= g.adj[w]
-    passed = meet == (1 << v)
+        raise ValueError(f"vertex {v} is unreachable from {x}")
+    meet = _meet(g, dp.masks, d, v)
     return IntersectionWitness(
-        passed=passed,
+        passed=meet == 1 << v,
         layer=d,
         intersection=frozenset(bits(meet)),
         extras=frozenset(bits(meet ^ (1 << v))),
@@ -299,21 +284,10 @@ def local_reconstruction(g: Graph, x: int, seed: PartialVertexMap) -> Perm:
         )
     images = dict(seed.items())
     taken = set(images.values())
-    source_masks = []
-    image_masks = []
-    for d in range(len(dp.layers)):
-        sm = 0
-        for w in dp.layers[d]:
-            sm |= 1 << w
-        im = 0
-        for w in dp_image.layers[d]:
-            im |= 1 << w
-        source_masks.append(sm)
-        image_masks.append(im)
-    for d in range(2, len(dp.layers)):
-        for u in sorted(dp.layers[d]):
-            candidates = image_masks[d]
-            for w in bits(g.adj[u] & source_masks[d - 1]):
+    for d in range(2, len(dp.masks)):
+        for u in bits(dp.masks[d]):
+            candidates = dp_image.masks[d]
+            for w in bits(g.adj[u] & dp.masks[d - 1]):
                 candidates &= g.adj[images[w]]
             if candidates.bit_count() != 1:
                 raise ReconstructionError(
@@ -392,12 +366,11 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
     if distance:
         b = aut.base[0] if aut.base else 0
         stabilizer = [p.images for p in aut.base_stabilizer_generators]
-        classes = {}
-        for v, d in enumerate(distance_partition(g, b).dist):
-            classes[d] = classes.get(d, 0) | 1 << v
+        masks = distance_partition(g, b).masks
+        unreachable = (1 << g.n) - 1 - sum(masks)  # the layers are disjoint
         distance = all(
             _orbit_mask(stabilizer, (mask & -mask).bit_length() - 1) == mask
-            for mask in classes.values()
+            for mask in (*masks, unreachable) if mask
         )
     return TransitivityProfile(vertex=vertex, edge=edge, distance=distance)
 
@@ -541,7 +514,7 @@ def verify_johnson_aut(
         ))
         # The sets through T = {0, ..., m-2} share exactly T, and their images
         # under the map induced by theta share exactly theta(T).
-        masks, index = _johnson_index(n, m)
+        masks, index = _colex_index(n, m)
         through = (1 << (m - 1)) - 1
         shared = (1 << n) - 1
         for x in range(m - 1, n):
@@ -596,18 +569,15 @@ def verify_johnson_aut(
     deep_total = deep_unique = 0
     first_total = first_unique = 0
     for x in sources:
-        dp = distance_partition(g, x)
-        for v in range(g.n):
-            d = dp.dist[v]
-            if v == x or d is None:
-                continue
-            witness = _intersection_witness(g, dp, v)
+        masks = distance_partition(g, x).masks
+        for d in range(1, len(masks)):
+            unique = sum(_meet(g, masks, d, v) == 1 << v for v in bits(masks[d]))
             if d >= 2:
-                deep_total += 1
-                deep_unique += witness.passed
+                deep_total += masks[d].bit_count()
+                deep_unique += unique
             else:
-                first_total += 1
-                first_unique += witness.passed
+                first_total += masks[d].bit_count()
+                first_unique += unique
     checks.append(CheckResult(
         "intersection_uniqueness",
         deep_unique == deep_total,

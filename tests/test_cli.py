@@ -11,6 +11,7 @@ from importlib.resources import files as resource_files
 from jgraphs import (
     Graph,
     complement,
+    complete_graph,
     distance_partition,
     johnson_graph,
     kneser_graph,
@@ -151,6 +152,23 @@ class TestAut:
     def test_garbage_input_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("not graph6 at all\n"))
         assert run_cli(capsys, "aut", "-")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["aut", "{g}"], ["iso", "{g}", "{g}"], ["dist", "--in", "{g}"]]
+    )
+    def test_over_cap_graph6_is_rejected_before_it_is_decoded(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        path = tmp_path / "k20.g6"
+        path.write_text(write_graph6(complete_graph(20)) + "\n")
+
+        def refuse(text):
+            raise AssertionError("parse_graph6 called for an over-cap graph")
+
+        monkeypatch.setattr("jgraphs.cli.parse_graph6", refuse)
+        code, _, err = run_cli(capsys, *(a.format(g=path) for a in argv), "--cap", "10")
+        assert code == 3
+        assert "graph has 20 vertices, cap is 10" in err
 
 
 class TestVerify:

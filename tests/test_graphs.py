@@ -268,3 +268,9 @@ class TestDistanceTable:
             dp = distance_partition(g, u)
             assert all(dp.dist[v] == d for d, layer in enumerate(dp.layers) for v in layer)
             assert sum(dp.layer_sizes) == n - len(dp.unreachable)
+            union = 0
+            for d, mask in enumerate(dp.masks):
+                assert not union & mask
+                union |= mask
+                assert frozenset(bits(mask)) == dp.layers[d]
+            assert union == sum(1 << v for v in range(n) if table[u][v] is not None)

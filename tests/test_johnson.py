@@ -479,6 +479,25 @@ class TestVerifyReport:
         assert rep.passed
         assert "10 source(s)" in rep.check("intersection_uniqueness").detail
 
+    @pytest.mark.parametrize("all_sources", [False, True])
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3)])
+    def test_sweep_counts_match_the_public_probe(self, n, m, all_sources):
+        g = johnson_graph(n, m)
+        first, deep = [0, 0], [0, 0]  # [unique, probed]
+        for x in range(g.n) if all_sources else [0]:
+            for v in range(g.n):
+                if v != x:
+                    w = unique_intersection_witness(g, x, v)
+                    counts = deep if w.layer >= 2 else first
+                    counts[0] += w.passed
+                    counts[1] += 1
+        rep = verify_johnson_aut(n, m, all_sources=all_sources)
+        for name, (unique, probed) in [
+            ("intersection_uniqueness", deep),
+            ("intersection_uniqueness_first_layer", first),
+        ]:
+            assert f": {unique}/{probed} unique" in rep.check(name).detail, name
+
     def test_one_bfs_per_swept_source(self, monkeypatch):
         import jgraphs.johnson
 
