@@ -168,6 +168,8 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     reported in ``extras``.  At layer 1 the intersection is always the
     whole first layer, so the probe carries content only from layer 2 on.
     """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     if x == v:
         raise ValueError("source and probe vertex must differ")
     dp = distance_partition(g, x)
@@ -369,7 +371,7 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
         masks = distance_partition(g, b).masks
         unreachable = (1 << g.n) - 1 - sum(masks)  # the layers are disjoint
         distance = all(
-            _orbit_mask(stabilizer, (mask & -mask).bit_length() - 1) == mask
+            _orbit_mask(stabilizer, mask & -mask) == mask
             for mask in (*masks, unreachable) if mask
         )
     return TransitivityProfile(vertex=vertex, edge=edge, distance=distance)

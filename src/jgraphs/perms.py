@@ -141,9 +141,9 @@ def _inv(p):
 
 
 def _orbit_mask(gens, start):
-    """Orbit of a point under image tuples, as a bit mask."""
-    seen = 1 << start
-    queue = [start]
+    """Orbit of a point set under image tuples, both as bit masks."""
+    seen = start
+    queue = list(bits(start))
     while queue:
         p = queue.pop()
         for g in gens:
@@ -247,7 +247,7 @@ class PermGroup:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside 0..{self.degree - 1}")
         gens = [g.images for g in self.generators]
-        return frozenset(bits(_orbit_mask(gens, point)))
+        return frozenset(bits(_orbit_mask(gens, 1 << point)))
 
     @property
     def base_stabilizer_generators(self) -> tuple[Perm, ...]:

@@ -16,19 +16,19 @@ and keeps each level's refinement trace: the count signatures of its
 non-singleton cell tests, which an isomorphism preserves.
 
 One walker, ``_leaves``, yields the leaves of a search tree depth first,
-and it has two pruning rules, each sound for any search: a branch whose
-refinement trace differs from the first path's is dropped at the first
-difference, and a candidate in the orbit of an explored sibling under the
-known automorphisms that fix the branch's prefix is skipped.
-Automorphisms and isomorphisms are the first leaf whose cell-by-cell map
-from the first path's leaf preserves edges; the orbit-stabilizer loop
-over the path's levels keeps one coset representative per orbit.  The
-vertices individualized along the first path are a base for the
-automorphism group and the generators found are strong relative to it,
-so the group's stabilizer chain is seeded from them with no Schreier-Sims
-pass.  The canonical form is the leaf with the least relabelled
-adjacency, with the group's generators and every map between two equal
-leaves as known automorphisms.
+once per graph and search.  Its pruning rules are each sound for any
+search: a branch whose refinement trace differs from the first path's is
+dropped at the first difference, a candidate in the orbit of an explored
+sibling under the known automorphisms that fix the branch's prefix is
+skipped, and after an automorphism the walk jumps back to where its two
+paths part.  Automorphisms are the leaves whose cell-by-cell map from the
+first leaf preserves edges; an isomorphism is the first leaf of h's tree
+whose map from g's first leaf does.  The first path's vertices are a base
+for the automorphism group and the generators found are strong relative
+to it, so the group's stabilizer chain is seeded from them with no
+Schreier-Sims pass.  The canonical form is the leaf with the least
+relabelled adjacency, with the group's generators and every map between
+two equal leaves as known automorphisms.
 """
 
 from __future__ import annotations
@@ -174,71 +174,82 @@ def _maps_edges(adj_a, adj_b, images):
     return True
 
 
-def _first_path(adj, cells):
-    """The first path below an equitable partition: one (cells, target
-    position, vertex, trace of the refinement after individualizing the
-    vertex) entry per level, and the discrete leaf partition."""
-    path = []
-    k = _target_cell(cells)
-    while k >= 0:
-        v = (cells[k] & -cells[k]).bit_length() - 1
-        branch = list(cells)
-        trace = []
-        _refine(adj, branch, deque(_individualize(branch, k, v)), trace)
-        path.append((cells, k, v, trace))
-        cells = branch
-        k = _target_cell(cells)
-    return path, cells
+def _support(images):
+    """The points an image tuple moves, as a bit mask."""
+    mask = 0
+    for p, q in enumerate(images):
+        if p != q:
+            mask |= 1 << p
+    return mask
 
 
-def _leaves(adj, cells, path=None, level=0, todo=None, known=()):
+def _leaves(adj, cells, path=None, known=()):
     """Yield the discrete leaf partitions of the tree of adj below the
-    equitable ``cells``, depth first, candidates in ascending order: those
-    in ``todo`` at the top (default: the whole target cell), the whole
-    target cell deeper down.
+    equitable ``cells``, depth first, candidates in ascending order.
 
-    ``cells`` sits at ``level`` of the tree.  With the first ``path``, a
-    branch whose refinement trace differs from the path's at its level is
-    pruned; equal traces give equal cell shapes, so every target position
-    is read from the path.  A candidate in the orbit of an explored
-    sibling under the automorphisms in ``known`` that fix the frame's
-    prefix is skipped; ``known`` is read whenever a frame picks its next
-    candidate, which happens only once every leaf yielded before has been
-    handled, so automorphisms appended between leaves prune from then on.
+    ``path`` holds one (target position, vertex, trace) entry per level of
+    the first path.  A branch whose refinement trace differs from the
+    path's at its level is pruned; equal traces give equal cell shapes, so
+    every target position is read from the path.  An empty ``path`` is
+    filled during the walk's first descent, which ends at the first leaf.
+
+    Two rules skip subtrees that an automorphism fixing their shared
+    prefix maps onto explored ones.  Before each pick after a frame's
+    first, candidates in the orbit of an explored sibling under the
+    automorphisms in ``known`` that fix the frame's prefix are dropped.
+    An automorphism the consumer appends to ``known`` after a leaf maps an
+    explored path onto the current one, so every frame above the first
+    whose current candidate it moves is popped.
     """
-    if path is None:
-        k = _target_cell(cells)
-    else:
-        k = path[level][1] if level < len(path) else -1
+    record = path is not None and not path
+    k = _target_cell(cells) if path is None or record else path[0][0]
     if k < 0:
         yield cells
         return
-    # frames: [cells, prefix, target position, candidates left]
-    stack = [[cells, (), k, cells[k] if todo is None else todo]]
+    support = [_support(a) for a in known]
+    # frames: [cells, prefix mask, target position, candidates left,
+    #          explored candidates, current candidate bit]
+    stack = [[cells, 0, k, cells[k], 0, 0]]
     while stack:
         frame = stack[-1]
-        cells, prefix, k, left = frame
+        cells, prefix, k, left, explored, _ = frame
+        if explored and left and support:
+            fixers = [a for a, moved in zip(known, support) if not moved & prefix]
+            if fixers:
+                left &= ~_orbit_mask(fixers, explored)
         if not left:
             stack.pop()
             continue
-        u = (left & -left).bit_length() - 1
-        fixers = [a for a in known if all(a[p] == p for p in prefix)]
-        frame[3] = left & ~_orbit_mask(fixers, u)
+        low = left & -left
+        u = low.bit_length() - 1
+        frame[3:] = left ^ low, explored | low, low
         branch = list(cells)
         frags = _individualize(branch, k, u)
-        if path is None:
-            if not _refine(adj, branch, deque(frags)):
-                continue
+        depth = len(stack)
+        if record:
+            trace = []
+            _refine(adj, branch, deque(frags), trace)
+            path.append((k, u, trace))
             k = _target_cell(branch)
+            record = k >= 0
+        elif path is None:
+            _refine(adj, branch, deque(frags))
+            k = _target_cell(branch)
+        elif _refine(adj, branch, deque(frags), expect=path[depth - 1][2]):
+            k = path[depth][0] if depth < len(path) else -1
         else:
-            depth = level + len(prefix) + 1
-            if not _refine(adj, branch, deque(frags), expect=path[depth - 1][3]):
-                continue
-            k = path[depth][1] if depth < len(path) else -1
-        if k < 0:
-            yield branch
-        else:
-            stack.append([branch, prefix + (u,), k, branch[k]])
+            continue
+        if k >= 0:
+            stack.append([branch, prefix | low, k, branch[k], 0, 0])
+            continue
+        yield branch
+        while len(support) < len(known):
+            moved = _support(known[len(support)])
+            support.append(moved)
+            for i, other in enumerate(stack):
+                if other[5] & moved:
+                    del stack[i + 1:]
+                    break
 
 
 def _leaf_map(leaf_a, leaf_b):
@@ -250,48 +261,28 @@ def _leaf_map(leaf_a, leaf_b):
     return tuple(images)
 
 
-def _match(adj_leaf, path, leaf, adj, level, cells, todo=None):
-    """The first leaf, in depth-first order, of the tree of adj below
-    ``cells`` whose cell-by-cell map from the path's leaf is an
-    isomorphism from adj_leaf onto adj, as a tuple of images, or None.
-
-    ``cells`` is refined in line with the path at ``level``; ``todo``
-    limits the candidates there, and a branch whose refinement trace
-    differs from the path's is pruned.
-    """
-    for other in _leaves(adj, cells, path, level, todo):
-        images = _leaf_map(leaf, other)
-        if _maps_edges(adj_leaf, adj, images):
-            return images
-    return None
-
-
 def _aut_generators(adj, cells):
     """Generators of the colour-preserving automorphism group of an already
     equitable ordered partition, and the base they are strong for: the
     vertex individualized at each level of the first path.
 
-    Orbit-stabilizer scheme along the first path, deepest level first:
-    with the generators of the level's stabilizer in hand, search one
-    coset representative per orbit of the individualized vertex among the
-    remaining candidates of its cell.  A generator found at level L fixes
-    the vertices of levels 0..L-1 and moves the level-L vertex, and once
-    level L is done the generators found so far generate the pointwise
+    One walk of the tree: every leaf whose cell-by-cell map from the first
+    leaf preserves edges gives a generator, and the walk jumps back to the
+    level where that leaf's path leaves the first path.  Backtracking goes
+    deepest level first, so a generator found at level L fixes the
+    vertices of levels 0..L-1 and moves the level-L vertex, and once level
+    L is done the generators found so far generate the pointwise
     stabilizer of levels 0..L-1.
     """
-    path, leaf = _first_path(adj, cells)
+    path = []
     gens = []
-    for level in range(len(path) - 1, -1, -1):
-        cells, k, v, _ = path[level]
-        reached = _orbit_mask(gens, v)
-        for u in bits(cells[k]):
-            if (reached >> u) & 1:
-                continue
-            rep = _match(adj, path, leaf, adj, level, cells, 1 << u)
-            if rep is not None:
-                gens.append(rep)
-                reached = _orbit_mask(gens, v)
-    return gens, tuple(v for _, _, v, _ in path)
+    leaves = _leaves(adj, cells, path, gens)
+    first = next(leaves)
+    for leaf in leaves:
+        images = _leaf_map(first, leaf)
+        if _maps_edges(adj, adj, images):
+            gens.append(images)
+    return gens, tuple(v for _, v, _ in path)
 
 
 def _initial_cells(g, colors):
@@ -385,14 +376,16 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     cells = [(1 << h.n) - 1]
     if not _refine(h.adj, cells, deque(cells), expect=trace):
         return None
-    path, leaf = _first_path(g.adj, cells_g)
-    images = _match(g.adj, path, leaf, h.adj, 0, cells)
-    if images is None:
-        return None
-    p = Perm(images)
-    if not verify_isomorphism(g, h, p):
-        raise RuntimeError("internal error: search produced a non-isomorphism")
-    return p
+    path = []
+    leaf = next(_leaves(g.adj, cells_g, path))
+    for other in _leaves(h.adj, cells, path):
+        images = _leaf_map(leaf, other)
+        if _maps_edges(g.adj, h.adj, images):
+            p = Perm(images)
+            if not verify_isomorphism(g, h, p):
+                raise RuntimeError("internal error: search produced a non-isomorphism")
+            return p
+    return None
 
 
 class CanonicalForm:
@@ -435,15 +428,15 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     All leaves of the individualization-refinement tree are compared by
     their relabelled adjacency rows and the minimum wins.  Known
     automorphisms (the computed group plus any found at equal leaves)
-    collapse sibling branches to orbit representatives; pruned subtrees
-    only repeat leaf values already seen, so the minimum is unaffected and
-    isomorphic graphs agree on it.
+    collapse sibling branches to orbit representatives, and one found at
+    an equal leaf sends the walk back to where the two leaves' paths part;
+    pruned subtrees only repeat leaf values already seen, so the minimum
+    is unaffected and isomorphic graphs agree on it.
     """
     _check_cap(g, cap)
     n = g.n
     adj = g.adj
     known = [p.images for p in automorphism_group(g, cap=cap).generators]
-    known_set = set(known)
     positions = [1 << i for i in range(n)]
     cells = [(1 << n) - 1]
     _refine(adj, cells, deque(cells))
@@ -461,9 +454,8 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
             best_key, best_leaf = key, leaf
         elif key == best_key:
             gamma = _leaf_map(best_leaf, leaf)
-            if gamma not in known_set and _maps_edges(adj, adj, gamma):
+            if _maps_edges(adj, adj, gamma):
                 known.append(gamma)
-                known_set.add(gamma)
     ordering = [cell.bit_length() - 1 for cell in best_leaf]
     edges = []
     for i in range(n):

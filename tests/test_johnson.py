@@ -241,6 +241,12 @@ class TestIntersectionWitness:
         with pytest.raises(ValueError):
             unique_intersection_witness(g, 3, 3)
 
+    @pytest.mark.parametrize("v", [10, -1])
+    def test_out_of_range_probe_rejected(self, v):
+        g = johnson_graph(5, 2)
+        with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.9"):
+            unique_intersection_witness(g, 0, v)
+
 
 class TestLocalReconstruction:
     def test_identity_seed_gives_identity(self):

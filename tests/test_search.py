@@ -27,6 +27,7 @@ from jgraphs import (
     line_graph,
     verify_isomorphism,
 )
+import jgraphs.search
 from jgraphs.perms import BRUTE_FORCE_LIMIT
 
 from conftest import build_corpus
@@ -293,6 +294,50 @@ class TestSeededChain:
         random.Random(name).shuffle(images)
         assert aut.contains(Perm(images))
         assert aut.contains(Perm.from_cycles(100, (0, 1)))
+
+
+class TestOneWalk:
+    """The automorphism search walks its tree once, and every leaf it
+    compares with the first leaf gives a generator."""
+
+    GRAPHS = {
+        "E10": lambda: Graph(10, [0] * 10),
+        "K12,12": lambda: complete_bipartite(12, 12),
+        "J(6,3)": lambda: johnson_graph(6, 3),
+        "petersen": lambda: kneser_graph(5, 2),
+    }
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        inner = getattr(jgraphs.search, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(jgraphs.search, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_one_walk_per_search(self, monkeypatch, name):
+        g = self.GRAPHS[name]()
+        walks = self.count_calls(monkeypatch, "_leaves")
+        automorphism_group(g)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_no_leaf_wasted(self, monkeypatch, name):
+        g = self.GRAPHS[name]()
+        checks = self.count_calls(monkeypatch, "_maps_edges")
+        aut = automorphism_group(g)
+        # once in the search, once when automorphism_group re-verifies it
+        assert len(checks) == 2 * len(aut.generators)
+        # and no generator is redundant: each one, found deepest level
+        # first, grows the orbit of the first base point it moves
+        for i, p in enumerate(aut.generators):
+            b = next(v for v in aut.base if p[v] != v)
+            assert p[b] not in group_from_generators(aut.generators[:i], g.n).orbit(b)
 
 
 class TestCheckers:
