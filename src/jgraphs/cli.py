@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -240,6 +241,12 @@ def cmd_aut(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
+    # the timer takes no NaN, infinity or value beyond the platform's limit
+    if not math.isfinite(args.time_limit) or args.time_limit > threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"--time-limit must be finite and at most {threading.TIMEOUT_MAX:g} s, "
+            f"got {args.time_limit}"
+        )
     pairs = [
         (n, m)
         for n in _parse_range(args.n)

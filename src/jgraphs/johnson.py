@@ -461,6 +461,10 @@ def verify_johnson_aut(
     built from bare generators; ``seed`` is only recorded in the report.
     One search builds the group; stabilizer orders are read from it by
     orbit-stabilizer, so ``all_sources`` widens the sources, not the search.
+    For the same reason ``stabilizer_index`` and ``stabilizer_bound``
+    follow from ``aut_order`` and ``vertex_transitive``: |Stab(x)| is
+    |Aut| / C(n, m).  They gain content of their own only with an upper
+    bound on |Stab(x)| from the neighbourhood, |Aut(L(K_{m,n-m}))|.
     """
     if n < 4 or m < 2 or 2 * m > n:
         raise ValueError(f"requires n >= 4 and 2 <= m <= n/2, got ({n}, {m})")

@@ -15,20 +15,23 @@ vertex order.  The first path takes the smallest candidate at every level
 and keeps each level's refinement trace: the count signatures of its
 non-singleton cell tests, which an isomorphism preserves.
 
-One walker, ``_leaves``, yields the leaves of a search tree depth first,
-once per graph and search.  Its pruning rules are each sound for any
-search: a branch whose refinement trace differs from the first path's is
-dropped at the first difference, a candidate in the orbit of an explored
-sibling under the known automorphisms that fix the branch's prefix is
-skipped, and after an automorphism the walk jumps back to where its two
-paths part.  Automorphisms are the leaves whose cell-by-cell map from the
-first leaf preserves edges; an isomorphism is the first leaf of h's tree
-whose map from g's first leaf does.  The first path's vertices are a base
-for the automorphism group and the generators found are strong relative
-to it, so the group's stabilizer chain is seeded from them with no
-Schreier-Sims pass.  The canonical form is the leaf with the least
-relabelled adjacency, with the group's generators and every map between
-two equal leaves as known automorphisms.
+One walker, ``_leaves``, yields the leaves of a search tree depth first.
+Its pruning rules are each sound for any search: a branch whose
+refinement trace differs from the first path's is dropped at the first
+difference, a candidate in the orbit of an explored sibling under the
+known automorphisms that fix the branch's prefix is skipped, and after
+an automorphism the walk jumps back to where its two paths part.
+``_search`` walks a graph's tree once and keeps each leaf whose map from
+the first leaf preserves edges as an automorphism that prunes the walk.
+The first path's vertices are a base for the automorphism group, and
+the generators found are strong for it, so the group's stabilizer chain
+is seeded with no Schreier-Sims pass.  An isomorphism is the first leaf
+of h's tree, walked along g's first path, onto which g's first leaf maps
+edge for edge; a non-isomorphic pair that refinement cannot split may
+show no automorphism of h and walk all of h's trace-compatible tree.
+The canonical form is the leaf with the least relabelled adjacency, with
+the group's generators and every map between two equal leaves as known
+automorphisms.
 """
 
 from __future__ import annotations
@@ -261,28 +264,24 @@ def _leaf_map(leaf_a, leaf_b):
     return tuple(images)
 
 
-def _aut_generators(adj, cells):
-    """Generators of the colour-preserving automorphism group of an already
-    equitable ordered partition, and the base they are strong for: the
-    vertex individualized at each level of the first path.
+def _search(adj, cells, path, gens):
+    """Walk the tree of adj once; yield its first leaf and every later leaf
+    whose cell-by-cell map from the first does not preserve edges.
 
-    One walk of the tree: every leaf whose cell-by-cell map from the first
-    leaf preserves edges gives a generator, and the walk jumps back to the
-    level where that leaf's path leaves the first path.  Backtracking goes
-    deepest level first, so a generator found at level L fixes the
-    vertices of levels 0..L-1 and moves the level-L vertex, and once level
-    L is done the generators found so far generate the pointwise
-    stabilizer of levels 0..L-1.
+    The maps that do are automorphisms, appended to ``gens`` to prune the
+    rest of the walk; no leaf they reach is an isomorphism target unless
+    the first is.  Backtracking goes deepest level first, so they are
+    strong for the base of first-path vertices.
     """
-    path = []
-    gens = []
     leaves = _leaves(adj, cells, path, gens)
-    first = next(leaves)
-    for leaf in leaves:
-        images = _leaf_map(first, leaf)
-        if _maps_edges(adj, adj, images):
-            gens.append(images)
-    return gens, tuple(v for _, v, _ in path)
+    for first in leaves:  # at most once: the inner loop drains the walk
+        yield first
+        for leaf in leaves:
+            images = _leaf_map(first, leaf)
+            if _maps_edges(adj, adj, images):
+                gens.append(images)
+            else:
+                yield leaf
 
 
 def _initial_cells(g, colors):
@@ -349,14 +348,15 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None) -> PermGro
     _check_cap(g, cap)
     cells = _initial_cells(g, colors)
     _refine(g.adj, cells, deque(cells))
+    path, found = [], []
+    deque(_search(g.adj, cells, path, found), maxlen=0)
     gens = []
-    found, base = _aut_generators(g.adj, cells)
     for images in found:
         p = Perm(images)
         if not check_automorphism(g, p):
             raise RuntimeError("internal error: search produced a non-automorphism")
         gens.append(p)
-    return PermGroup(gens, g.n, base=base)
+    return PermGroup(gens, g.n, base=tuple(v for _, v, _ in path))
 
 
 def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
@@ -378,7 +378,7 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
         return None
     path = []
     leaf = next(_leaves(g.adj, cells_g, path))
-    for other in _leaves(h.adj, cells, path):
+    for other in _search(h.adj, cells, path, []):
         images = _leaf_map(leaf, other)
         if _maps_edges(g.adj, h.adj, images):
             p = Perm(images)

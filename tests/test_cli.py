@@ -251,6 +251,18 @@ class TestVerify:
         assert doc[0]["status"] == "timeout"
         assert doc[0]["n"] == 6 and doc[0]["m"] == 3
 
+    @pytest.mark.parametrize("limit", ["inf", "-inf", "nan", "1e300"])
+    def test_unusable_time_limit_is_usage_error(self, capsys, limit):
+        argv = ["verify", "--n", "5", "--m", "2", f"--time-limit={limit}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --time-limit must be finite")
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(argv)))
+        thread.start()
+        thread.join(timeout=120)
+        assert codes == [2]
+
     def test_seed_recorded(self, capsys, validator):
         _, doc, _ = run_json(
             capsys, validator, "verify", "--n", "5", "--m", "2", "--seed", "42"

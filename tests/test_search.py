@@ -109,6 +109,19 @@ def paley(p: int) -> Graph:
     )
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls to a jgraphs.search function for one test."""
+    calls = []
+    inner = getattr(jgraphs.search, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(jgraphs.search, name, counted)
+    return calls
+
+
 def networkx_graph(g: Graph):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
@@ -297,8 +310,9 @@ class TestSeededChain:
 
 
 class TestOneWalk:
-    """The automorphism search walks its tree once, and every leaf it
-    compares with the first leaf gives a generator."""
+    """The automorphism search and the isomorphism search share one walk,
+    which runs once per graph searched, and every leaf the automorphism
+    search compares with the first leaf gives a generator."""
 
     GRAPHS = {
         "E10": lambda: Graph(10, [0] * 10),
@@ -307,29 +321,28 @@ class TestOneWalk:
         "petersen": lambda: kneser_graph(5, 2),
     }
 
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
-        inner = getattr(jgraphs.search, name)
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(jgraphs.search, name, counted)
-        return calls
-
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_one_walk_per_search(self, monkeypatch, name):
         g = self.GRAPHS[name]()
-        walks = self.count_calls(monkeypatch, "_leaves")
+        walks = count_calls(monkeypatch, "_leaves")
         automorphism_group(g)
         assert len(walks) == 1
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_one_walk_per_graph_in_isomorphism_search(self, monkeypatch, name):
+        g = self.GRAPHS[name]()
+        images = list(range(g.n))
+        random.Random(name).shuffle(images)
+        h = relabel(g, Perm(images))
+        walks = count_calls(monkeypatch, "_leaves")
+        p = find_isomorphism(g, h)
+        assert p is not None and verify_isomorphism(g, h, p)
+        assert len(walks) == 2
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_no_leaf_wasted(self, monkeypatch, name):
         g = self.GRAPHS[name]()
-        checks = self.count_calls(monkeypatch, "_maps_edges")
+        checks = count_calls(monkeypatch, "_maps_edges")
         aut = automorphism_group(g)
         # once in the search, once when automorphism_group re-verifies it
         assert len(checks) == 2 * len(aut.generators)
@@ -389,6 +402,22 @@ class TestFindIsomorphism:
         finally:
             sys.setrecursionlimit(limit)
         assert p is not None and verify_isomorphism(g, g, p)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_target_tree_is_pruned_by_its_automorphisms(self, monkeypatch, seed):
+        # CFI(K4) + twisted CFI(K4): unless h's walk is pruned by the
+        # automorphisms of h it finds, a shuffled copy takes up to 72,587
+        # refinements
+        g = disjoint_union(cfi_k4(False), cfi_k4(True))
+        images = list(range(g.n))
+        random.Random(seed).shuffle(images)
+        h = relabel(g, Perm(images))
+        refines = count_calls(monkeypatch, "_refine")
+        for a, b in ((g, h), (h, g)):
+            refines.clear()
+            p = find_isomorphism(a, b)
+            assert p is not None and verify_isomorphism(a, b, p)
+            assert len(refines) <= 500
 
 
 class TestRefinementResistantPairs:
