@@ -6,6 +6,10 @@ full structure verification over (n, m) ranges), ``dist`` (distance
 layers from a source vertex), ``iso`` (isomorphism test with a checked
 witness).  All JSON output conforms to schemas/report.schema.json.
 
+``verify --time-limit`` gives each pair a ``time.monotonic()`` deadline,
+checked between search nodes and phases on any thread; past it, a pair
+becomes a ``timeout`` entry.
+
 Exit codes are a stable contract: 0 success, 1 assertion failure,
 2 usage error, 3 resource limit (vertex cap or wall clock).
 """
@@ -16,7 +20,6 @@ import argparse
 import json
 import math
 import os
-import signal
 import sys
 import threading
 import time
@@ -26,6 +29,7 @@ from ._version import __version__
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     Graph,
+    TimeLimitExceeded,
     VertexCapExceeded,
     complete_bipartite,
     complete_graph,
@@ -54,39 +58,6 @@ CAP_ENV_VAR = "JGRAPHS_CAP"
 DEFAULT_TIME_LIMIT = 60.0
 
 FAMILY_PARAM_COUNTS = {"johnson": 2, "kneser": 2, "complete": 1, "bipartite": 2}
-
-
-class _TimeLimit(Exception):
-    pass
-
-
-def _run_with_time_limit(seconds, fn, *args, **kwargs):
-    """Run fn under a wall-clock budget; raise _TimeLimit when it expires.
-
-    seconds <= 0 disables the limit.  SIGALRM based, so one task at a
-    time; the previous handler and timer are restored on exit.  Only the
-    main thread may install a signal handler: elsewhere fn runs to the end
-    and _TimeLimit is raised afterwards if it overran.
-    """
-    if seconds is None or seconds <= 0:
-        return fn(*args, **kwargs)
-    if threading.current_thread() is not threading.main_thread():
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        if time.perf_counter() - start > seconds:
-            raise _TimeLimit
-        return result
-
-    def _alarm(signum, frame):
-        raise _TimeLimit
-
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _resolve_cap(args) -> int:
@@ -241,7 +212,7 @@ def cmd_aut(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
-    # the timer takes no NaN, infinity or value beyond the platform's limit
+    # no NaN, no infinity and nothing beyond the platform's longest wait
     if not math.isfinite(args.time_limit) or args.time_limit > threading.TIMEOUT_MAX:
         raise ValueError(
             f"--time-limit must be finite and at most {threading.TIMEOUT_MAX:g} s, "
@@ -265,17 +236,12 @@ def cmd_verify(args) -> int:
     entries = []
     timed_out = failed = False
     for n, m in sorted(pairs):
+        deadline = time.monotonic() + args.time_limit if args.time_limit > 0 else None
         try:
-            report = _run_with_time_limit(
-                args.time_limit,
-                verify_johnson_aut,
-                n,
-                m,
-                cap=cap,
-                seed=args.seed,
-                all_sources=args.all_sources,
+            report = verify_johnson_aut(
+                n, m, cap=cap, seed=args.seed, all_sources=args.all_sources, deadline=deadline
             )
-        except _TimeLimit:
+        except TimeLimitExceeded:
             timed_out = True
             entries.append({
                 "status": "timeout",
@@ -438,9 +404,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except _TimeLimit:
-        print("time limit exceeded", file=sys.stderr)
-        return EXIT_RESOURCE
     except VertexCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

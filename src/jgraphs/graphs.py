@@ -10,6 +10,7 @@ colex rank order from the subsets module.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -21,6 +22,17 @@ DEFAULT_VERTEX_CAP = 5000
 
 class VertexCapExceeded(ValueError):
     """A construction or search would exceed the configured vertex cap."""
+
+
+class TimeLimitExceeded(Exception):
+    """A search or verification ran past its deadline (not a ValueError:
+    the input was valid)."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Raise TimeLimitExceeded once time.monotonic() reaches deadline; None never does."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise TimeLimitExceeded("time limit exceeded")
 
 
 def bits(mask: int):

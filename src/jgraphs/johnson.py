@@ -25,6 +25,7 @@ from ._version import __version__
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     Graph,
+    _check_deadline,
     _colex_index,
     bits,
     complete_bipartite,
@@ -446,6 +447,7 @@ def verify_johnson_aut(
     cap: int | None = None,
     seed: int = DEFAULT_SEED,
     all_sources: bool = False,
+    deadline: float | None = None,
 ) -> VerificationReport:
     """Run the full structure verification for J(n, m) and report.
 
@@ -465,13 +467,19 @@ def verify_johnson_aut(
     follow from ``aut_order`` and ``vertex_transitive``: |Stab(x)| is
     |Aut| / C(n, m).  They gain content of their own only with an upper
     bound on |Stab(x)| from the neighbourhood, |Aut(L(K_{m,n-m}))|.
+
+    ``deadline`` is a ``time.monotonic()`` instant, None for no limit.  It
+    is checked at every search node and between phases, last before the
+    report is returned; once it has passed, TimeLimitExceeded is raised.
     """
     if n < 4 or m < 2 or 2 * m > n:
         raise ValueError(f"requires n >= 4 and 2 <= m <= n/2, got ({n}, {m})")
     start = time.perf_counter()
     checks = []
     g = johnson_graph(n, m, cap=DEFAULT_VERTEX_CAP if cap is None else cap)
-    aut = automorphism_group(g, cap=cap)
+    _check_deadline(deadline)
+    aut = automorphism_group(g, cap=cap, deadline=deadline)
+    _check_deadline(deadline)
     expected = 2 * factorial(n) if n == 2 * m else factorial(n)
     checks.append(CheckResult(
         "aut_order",
@@ -575,6 +583,7 @@ def verify_johnson_aut(
     deep_total = deep_unique = 0
     first_total = first_unique = 0
     for x in sources:
+        _check_deadline(deadline)
         masks = distance_partition(g, x).masks
         for d in range(1, len(masks)):
             unique = sum(_meet(g, masks, d, v) == 1 << v for v in bits(masks[d]))
@@ -599,6 +608,7 @@ def verify_johnson_aut(
         f"there is the whole first layer",
     ))
 
+    _check_deadline(deadline)
     profile = transitivity_profile(g, aut)
     checks.append(CheckResult("vertex_transitive", profile.vertex, True, "single vertex orbit"))
     checks.append(CheckResult("edge_transitive", profile.edge, True, "single edge orbit"))
@@ -610,6 +620,7 @@ def verify_johnson_aut(
         "distance layers (Brouwer-Cohen-Neumaier criterion)",
     ))
 
+    _check_deadline(deadline)
     return VerificationReport(
         n=n,
         m=m,

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapExceeded, bits
+from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapExceeded, _check_deadline, bits
 from .perms import Perm, PermGroup, _orbit_mask
 
 
@@ -186,7 +186,7 @@ def _support(images):
     return mask
 
 
-def _leaves(adj, cells, path=None, known=()):
+def _leaves(adj, cells, path=None, known=(), deadline=None):
     """Yield the discrete leaf partitions of the tree of adj below the
     equitable ``cells``, depth first, candidates in ascending order.
 
@@ -202,7 +202,8 @@ def _leaves(adj, cells, path=None, known=()):
     automorphisms in ``known`` that fix the frame's prefix are dropped.
     An automorphism the consumer appends to ``known`` after a leaf maps an
     explored path onto the current one, so every frame above the first
-    whose current candidate it moves is popped.
+    whose current candidate it moves is popped.  Each node checks
+    ``deadline`` before it refines its branch.
     """
     record = path is not None and not path
     k = _target_cell(cells) if path is None or record else path[0][0]
@@ -226,6 +227,7 @@ def _leaves(adj, cells, path=None, known=()):
         low = left & -left
         u = low.bit_length() - 1
         frame[3:] = left ^ low, explored | low, low
+        _check_deadline(deadline)
         branch = list(cells)
         frags = _individualize(branch, k, u)
         depth = len(stack)
@@ -264,7 +266,7 @@ def _leaf_map(leaf_a, leaf_b):
     return tuple(images)
 
 
-def _search(adj, cells, path, gens):
+def _search(adj, cells, path, gens, deadline=None):
     """Walk the tree of adj once; yield its first leaf and every later leaf
     whose cell-by-cell map from the first does not preserve edges.
 
@@ -273,7 +275,7 @@ def _search(adj, cells, path, gens):
     the first is.  Backtracking goes deepest level first, so they are
     strong for the base of first-path vertices.
     """
-    leaves = _leaves(adj, cells, path, gens)
+    leaves = _leaves(adj, cells, path, gens, deadline)
     for first in leaves:  # at most once: the inner loop drains the walk
         yield first
         for leaf in leaves:
@@ -336,7 +338,7 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     return _maps_edges(g.adj, h.adj, p.images)
 
 
-def automorphism_group(g: Graph, colors=None, cap: int | None = None) -> PermGroup:
+def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadline=None) -> PermGroup:
     """The automorphism group of g, optionally restricted to colour-preserving
     permutations when an initial colouring is given.
 
@@ -344,12 +346,15 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None) -> PermGro
     check_automorphism before it is returned.  The stabilizer chain is
     seeded from the search's first path, so ``base`` lists first-path
     vertices and no Schreier-Sims pass runs.
+
+    Past ``deadline``, a ``time.monotonic()`` instant checked at every
+    search node, TimeLimitExceeded is raised; None means no limit.
     """
     _check_cap(g, cap)
     cells = _initial_cells(g, colors)
     _refine(g.adj, cells, deque(cells))
     path, found = [], []
-    deque(_search(g.adj, cells, path, found), maxlen=0)
+    deque(_search(g.adj, cells, path, found, deadline), maxlen=0)
     gens = []
     for images in found:
         p = Perm(images)
@@ -366,10 +371,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     """
     _check_cap(g, cap)
     _check_cap(h, cap)
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return None
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return None
+    # the first signature, the uniform cell against itself, is the degree
+    # histogram, so it tells vertex counts, edge counts and degrees apart
     cells_g = [(1 << g.n) - 1]
     trace = []
     _refine(g.adj, cells_g, deque(cells_g), trace)

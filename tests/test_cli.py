@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 
 import jsonschema
 import pytest
@@ -16,6 +17,7 @@ from jgraphs import (
     johnson_graph,
     kneser_graph,
     write_graph6,
+    __version__,
 )
 from jgraphs.cli import main
 
@@ -250,6 +252,26 @@ class TestVerify:
         assert code == 3
         assert doc[0]["status"] == "timeout"
         assert doc[0]["n"] == 6 and doc[0]["m"] == 3
+
+    def test_time_limit_stops_a_worker_thread(self, validator, tmp_path):
+        # J(12,6) takes over 10 s to verify; the deadline ends it early
+        start = time.monotonic()
+        code, doc = self.verify_in_thread(
+            validator, tmp_path, "--n", "12", "--m", "6", "--time-limit", "0.2"
+        )
+        assert time.monotonic() - start < 5
+        assert code == 3
+        assert doc == [{
+            "status": "timeout", "tool_version": __version__,
+            "n": 12, "m": 6, "time_limit_seconds": 0.2,
+        }]
+
+    def test_zero_time_limit_disables_the_limit(self, capsys, validator):
+        code, doc, _ = run_json(
+            capsys, validator, "verify", "--n", "6", "--m", "3", "--time-limit", "0"
+        )
+        assert code == 0
+        assert doc[0]["status"] == "ok" and doc[0]["passed"]
 
     @pytest.mark.parametrize("limit", ["inf", "-inf", "nan", "1e300"])
     def test_unusable_time_limit_is_usage_error(self, capsys, limit):

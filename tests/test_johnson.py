@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
+import jgraphs.graphs
 import jgraphs.johnson
 import jgraphs.search
 from jgraphs import (
@@ -13,6 +16,7 @@ from jgraphs import (
     PartialVertexMap,
     ReconstructionError,
     SubsetLabel,
+    TimeLimitExceeded,
     bipartite_aut_order,
     brute_force_automorphisms,
     check_automorphism,
@@ -523,9 +527,9 @@ class TestVerifyReport:
     def test_one_automorphism_search(self, monkeypatch, all_sources):
         calls = []
 
-        def counting(g, colors=None, cap=None):
+        def counting(g, colors=None, cap=None, *, deadline=None):
             calls.append(colors)
-            return automorphism_group(g, colors=colors, cap=cap)
+            return automorphism_group(g, colors=colors, cap=cap, deadline=deadline)
 
         monkeypatch.setattr(jgraphs.johnson, "automorphism_group", counting)
         assert verify_johnson_aut(6, 3, all_sources=all_sources).passed
@@ -550,6 +554,39 @@ class TestVerifyReport:
         b = verify_johnson_aut(6, 3, seed=5).to_json_dict()
         a.pop("elapsed_seconds"); b.pop("elapsed_seconds")
         assert a == b
+
+
+class TestVerifyDeadline:
+    def test_short_deadline_raises(self):
+        with pytest.raises(TimeLimitExceeded):
+            verify_johnson_aut(9, 4, deadline=time.monotonic() + 0.01)
+
+    @pytest.mark.parametrize("all_sources", [False, True])
+    def test_deadline_none_changes_nothing(self, all_sources):
+        a = verify_johnson_aut(6, 3, all_sources=all_sources).to_json_dict()
+        b = verify_johnson_aut(6, 3, all_sources=all_sources, deadline=None).to_json_dict()
+        a.pop("elapsed_seconds"); b.pop("elapsed_seconds")
+        assert a == b
+
+    @pytest.mark.parametrize("phase", [
+        "johnson_graph", "automorphism_group", "distance_partition", "transitivity_profile",
+    ])
+    def test_overrun_in_any_phase_raises(self, monkeypatch, phase):
+        # a fake clock that one phase moves past the deadline: the check
+        # after that phase, at the latest the one before returning, raises
+        clock = [0.0]
+        monkeypatch.setattr(jgraphs.graphs, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        assert verify_johnson_aut(6, 3, deadline=1.0).passed
+        real = getattr(jgraphs.johnson, phase)
+
+        def overrunning(*args, **kwargs):
+            result = real(*args, **kwargs)
+            clock[0] = 2.0
+            return result
+
+        monkeypatch.setattr(jgraphs.johnson, phase, overrunning)
+        with pytest.raises(TimeLimitExceeded):
+            verify_johnson_aut(6, 3, deadline=1.0)
 
 
 class TestVerifyArgument:
@@ -622,8 +659,8 @@ class TestVerifyArgument:
 
     @pytest.mark.parametrize("n,m", [(6, 3), (7, 3)])
     def test_stabilizer_in_place_of_the_group_fails(self, monkeypatch, capsys, n, m):
-        def stabilizer(g, colors=None, cap=None):
-            return automorphism_group(g, colors=[[0], range(1, g.n)], cap=cap)
+        def stabilizer(g, colors=None, cap=None, *, deadline=None):
+            return automorphism_group(g, colors=[[0], range(1, g.n)], cap=cap, deadline=deadline)
 
         monkeypatch.setattr(jgraphs.johnson, "automorphism_group", stabilizer)
         # vertex 0 is its own orbit, so the whole faked group is its stabilizer

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from jgraphs import (
     ColoredPartition,
     Graph,
     Perm,
+    TimeLimitExceeded,
     automorphism_group,
     brute_force_automorphisms,
     canonical_form,
@@ -243,6 +245,20 @@ class TestAutomorphismGroup:
         with pytest.raises(VertexCapExceeded):
             automorphism_group(johnson_graph(6, 3), cap=10)
 
+    def test_past_deadline_stops_the_search(self):
+        with pytest.raises(TimeLimitExceeded):
+            automorphism_group(johnson_graph(8, 4), deadline=time.monotonic())
+        # not a usage error: the CLI maps ValueError to exit 2
+        assert not issubclass(TimeLimitExceeded, ValueError)
+
+    def test_deadline_none_or_unreached_changes_nothing(self):
+        for name, g in build_corpus().items():
+            plain = automorphism_group(g)
+            for deadline in (None, time.monotonic() + 3600):
+                aut = automorphism_group(g, deadline=deadline)
+                assert aut.generators == plain.generators, name
+                assert aut.base == plain.base and aut.order == plain.order, name
+
 
 def assert_seeded_chain_matches_schreier_sims(g, colors, rng):
     """The chain seeded from the search base against full Schreier-Sims on
@@ -384,10 +400,15 @@ class TestFindIsomorphism:
         assert p is not None and verify_isomorphism(g, h, p)
 
     def test_non_isomorphic_same_degree_sequence(self):
-        # C6 and two triangles: both 2-regular on 6 vertices
+        # C6 and two triangles: both 2-regular on 6 vertices.  The others
+        # differ in vertex count (E1, E2) or degrees (P4, K1,3), which the
+        # first refinement signature, the degree histogram, tells apart
         c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         tt = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert find_isomorphism(c6, tt) is None
+        e1, e2 = Graph(1, [0]), Graph(2, [0, 0])
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        for g, h in [(c6, tt), (e1, e2), (e2, e1), (p4, complete_bipartite(1, 3))]:
+            assert find_isomorphism(g, h) is None, (g, h)
 
     def test_different_sizes(self):
         assert find_isomorphism(complete_graph(3), complete_graph(4)) is None
