@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     TimeLimitExceeded,
     VertexCapExceeded,
+    _check_cap,
     complete_bipartite,
     complete_graph,
     distance_partition,
@@ -76,11 +77,6 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _enforce_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise VertexCapExceeded(f"graph has {n} vertices, cap is {cap}")
-
-
 def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     """Construct a graph from family tokens; returns (graph, family, leftovers).
 
@@ -92,7 +88,7 @@ def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     name, rest = tokens[0], tokens[1:]
     if name == "line-of":
         base, _, rest = _build_family(rest, cap)
-        _enforce_cap(base.edge_count(), cap)
+        _check_cap(base.edge_count(), cap)
         lg, _ = line_graph(base)
         return lg, name, rest
     if name not in FAMILY_PARAM_COUNTS:
@@ -110,10 +106,10 @@ def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     elif name == "kneser":
         g = kneser_graph(params[0], params[1], cap=cap)
     elif name == "complete":
-        _enforce_cap(params[0], cap)
+        _check_cap(params[0], cap)
         g = complete_graph(params[0])
     else:
-        _enforce_cap(params[0] + params[1], cap)
+        _check_cap(params[0] + params[1], cap)
         g = complete_bipartite(params[0], params[1])
     return g, name, rest
 
@@ -134,7 +130,7 @@ def _read_graph(path: str, cap: int) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
-    _enforce_cap(_graph6_size(text)[0], cap)
+    _check_cap(_graph6_size(text)[0], cap)
     return parse_graph6(text)
 
 
@@ -184,13 +180,6 @@ def cmd_aut(args) -> int:
     g = _read_graph(args.graph, cap)
     aut = automorphism_group(g, cap=cap)
     profile = transitivity_profile(g, aut)
-    orbit_sizes = []
-    seen: set[int] = set()
-    for v in range(g.n):
-        if v not in seen:
-            orbit = aut.orbit(v)
-            seen |= orbit
-            orbit_sizes.append(len(orbit))
     report = {
         "status": "ok",
         "tool_version": __version__,
@@ -199,7 +188,7 @@ def cmd_aut(args) -> int:
         "edge_count": g.edge_count(),
         "order": str(aut.order),
         "generators": [p.cycle_string() for p in aut.generators],
-        "orbit_sizes": orbit_sizes,
+        "orbit_sizes": [len(orbit) for orbit in aut.orbits()],
         "transitivity": {
             "vertex": profile.vertex,
             "edge": profile.edge,

@@ -24,6 +24,13 @@ class VertexCapExceeded(ValueError):
     """A construction or search would exceed the configured vertex cap."""
 
 
+def _check_cap(n: int, cap: int | None) -> None:
+    """Raise VertexCapExceeded when n vertices exceed cap; None means DEFAULT_VERTEX_CAP."""
+    limit = DEFAULT_VERTEX_CAP if cap is None else cap
+    if n > limit:
+        raise VertexCapExceeded(f"graph has {n} vertices, cap is {limit}")
+
+
 class TimeLimitExceeded(Exception):
     """A search or verification ran past its deadline (not a ValueError:
     the input was valid)."""
@@ -186,20 +193,21 @@ def _colex_index(n: int, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return masks, {mask: r for r, mask in enumerate(masks)}
 
 
-def _subset_family(n: int, m: int, cap: int):
+def _subset_family(n: int, m: int, cap: int | None):
+    """Count, labels and mask -> rank index of the m-subsets of {1..n}; cap-checked first."""
     if not 1 <= m <= n - 1:
         raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
     count = binomial(n, m)
-    if count > cap:
-        raise VertexCapExceeded(f"C({n},{m}) = {count} exceeds the vertex cap {cap}")
+    _check_cap(count, cap)
     masks, index = _colex_index(n, m)
     return count, [SubsetLabel(n, mask) for mask in masks], index
 
 
-def johnson_graph(n: int, m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def johnson_graph(n: int, m: int, cap: int | None = None) -> Graph:
     """J(n, m): m-subsets of {1..n}, adjacent when they share m-1 elements.
 
-    Regular of degree m*(n-m).  J(n, 1) is the complete graph K_n.
+    Regular of degree m*(n-m).  J(n, 1) is the complete graph K_n.  Over
+    ``cap`` vertices (None: DEFAULT_VERTEX_CAP) it raises VertexCapExceeded.
     """
     count, labels, index = _subset_family(n, m, cap)
     rows = [0] * count
@@ -214,8 +222,8 @@ def johnson_graph(n: int, m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     return Graph(count, rows, labels)
 
 
-def kneser_graph(n: int, m: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """K(n, m): m-subsets of {1..n}, adjacent when disjoint."""
+def kneser_graph(n: int, m: int, cap: int | None = None) -> Graph:
+    """K(n, m): m-subsets of {1..n}, adjacent when disjoint; ``cap`` as in johnson_graph."""
     count, labels, index = _subset_family(n, m, cap)
     rows = [0] * count
     for r, label in enumerate(labels):

@@ -23,7 +23,6 @@ from math import factorial
 
 from ._version import __version__
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     Graph,
     _check_deadline,
     _colex_index,
@@ -476,7 +475,7 @@ def verify_johnson_aut(
         raise ValueError(f"requires n >= 4 and 2 <= m <= n/2, got ({n}, {m})")
     start = time.perf_counter()
     checks = []
-    g = johnson_graph(n, m, cap=DEFAULT_VERTEX_CAP if cap is None else cap)
+    g = johnson_graph(n, m, cap=cap)
     _check_deadline(deadline)
     aut = automorphism_group(g, cap=cap, deadline=deadline)
     _check_deadline(deadline)
@@ -562,7 +561,8 @@ def verify_johnson_aut(
         ))
 
     sources = range(g.n) if all_sources else [0]
-    stab_orders = [aut.order // len(aut.orbit(x)) for x in sources]
+    orbit_size = {x: len(orbit) for orbit in aut.orbits() for x in orbit}
+    stab_orders = [aut.order // orbit_size[x] for x in sources]
     bound = bipartite_aut_order(m, n - m)
     checks.append(CheckResult(
         "stabilizer_index",

@@ -206,7 +206,7 @@ class PermGroup:
     individualizes along its first path.
 
     ``order`` is an exact Python int, the product of the transversal
-    sizes.
+    sizes.  ``orbits()`` closes each orbit of the group once.
     """
 
     __slots__ = ("degree", "generators", "base", "order", "_levels", "_identity")
@@ -248,6 +248,15 @@ class PermGroup:
             raise ValueError(f"point {point} outside 0..{self.degree - 1}")
         gens = [g.images for g in self.generators]
         return frozenset(bits(_orbit_mask(gens, 1 << point)))
+
+    def orbits(self) -> tuple[frozenset[int], ...]:
+        """Every orbit of the group, ordered by smallest member."""
+        gens = [g.images for g in self.generators]
+        masks, left = [], (1 << self.degree) - 1
+        while left:
+            masks.append(_orbit_mask(gens, left & -left))
+            left &= ~masks[-1]
+        return tuple(frozenset(bits(mask)) for mask in masks)
 
     @property
     def base_stabilizer_generators(self) -> tuple[Perm, ...]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapExceeded, _check_deadline, bits
+from .graphs import Graph, _check_cap, _check_deadline, bits
 from .perms import Perm, PermGroup, _orbit_mask
 
 
@@ -304,12 +304,6 @@ def _initial_cells(g, colors):
     return out
 
 
-def _check_cap(g, cap):
-    limit = DEFAULT_VERTEX_CAP if cap is None else cap
-    if g.n > limit:
-        raise VertexCapExceeded(f"graph has {g.n} vertices, search cap is {limit}")
-
-
 def color_refinement(g: Graph, initial: ColoredPartition | None = None) -> ColoredPartition:
     """Coarsest equitable refinement of the initial colouring.
 
@@ -350,7 +344,7 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     Past ``deadline``, a ``time.monotonic()`` instant checked at every
     search node, TimeLimitExceeded is raised; None means no limit.
     """
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     cells = _initial_cells(g, colors)
     _refine(g.adj, cells, deque(cells))
     path, found = [], []
@@ -369,8 +363,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
 
     Any returned permutation has been verified edge for edge.
     """
-    _check_cap(g, cap)
-    _check_cap(h, cap)
+    _check_cap(g.n, cap)
+    _check_cap(h.n, cap)
     # the first signature, the uniform cell against itself, is the degree
     # histogram, so it tells vertex counts, edge counts and degrees apart
     cells_g = [(1 << g.n) - 1]
@@ -436,7 +430,7 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     pruned subtrees only repeat leaf values already seen, so the minimum
     is unaffected and isomorphic graphs agree on it.
     """
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     n = g.n
     adj = g.adj
     known = [p.images for p in automorphism_group(g, cap=cap).generators]

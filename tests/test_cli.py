@@ -82,7 +82,9 @@ class TestGen:
         assert run_cli(capsys, "gen", "johnson", "5", "2", "9")[0] == 2
 
     def test_cap_exceeded_resource_error(self, capsys):
-        assert run_cli(capsys, "gen", "johnson", "20", "10")[0] == 3
+        code, out, err = run_cli(capsys, "gen", "johnson", "20", "10")
+        assert code == 3 and out == ""
+        assert err == "error: graph has 184756 vertices, cap is 5000\n"
 
     @pytest.mark.parametrize(
         "builder,family",
@@ -432,13 +434,14 @@ class TestIso:
         assert "witness" not in doc
 
     def test_cap_flag_reaches_the_search(self, capsys, validator, tmp_path, monkeypatch):
-        import jgraphs.search
+        import jgraphs.graphs
 
-        monkeypatch.setattr(jgraphs.search, "DEFAULT_VERTEX_CAP", 4)
         a = tmp_path / "a.g6"
         b = tmp_path / "b.g6"
         a.write_text(write_graph6(johnson_graph(5, 2)))
         b.write_text(write_graph6(complement(kneser_graph(5, 2))))
+        # the constructors above read the same default, so patch it after them
+        monkeypatch.setattr(jgraphs.graphs, "DEFAULT_VERTEX_CAP", 4)
         code, doc, _ = run_json(capsys, validator, "iso", str(a), str(b), "--cap", "10")
         assert code == 0 and doc["isomorphic"] is True
         assert run_cli(capsys, "iso", str(a), str(b), "--cap", "9")[0] == 3
@@ -470,6 +473,16 @@ class TestTopLevel:
         code = main(["--version"])
         out = capsys.readouterr().out
         assert code == 0 and __version__ in out
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "bipartite", "3", "4"], 0),
+        (["gen", "line-of"], 2),
+        (["gen", "johnson", "a", "2"], 2),
+        (["gen", "johnson", "6", "3", "--cap", "0"], 2),
+        (["verify", "--n", "x", "--m", "2"], 2),
+    ])
+    def test_exit_code(self, capsys, argv, code):
+        assert run_cli(capsys, *argv)[0] == code
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -115,10 +115,15 @@ class TestFamilies:
             assert g.labels[w] == g.labels[v].complement()
 
     def test_cap_enforced(self):
-        with pytest.raises(VertexCapExceeded):
+        with pytest.raises(VertexCapExceeded, match="^graph has 155117520 vertices, cap is 5000$"):
             johnson_graph(30, 15)
         with pytest.raises(VertexCapExceeded):
             kneser_graph(30, 15, cap=DEFAULT_VERTEX_CAP)
+        with pytest.raises(VertexCapExceeded, match="^graph has 20 vertices, cap is 19$"):
+            kneser_graph(6, 3, cap=19)
+        # None means the default, as in every search
+        assert johnson_graph(6, 3, cap=None) == johnson_graph(6, 3)
+        assert kneser_graph(6, 3, cap=None) == kneser_graph(6, 3)
         # explicit cap raise lets it through
         g = johnson_graph(13, 6, cap=2000)
         assert g.n == 1716

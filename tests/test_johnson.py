@@ -43,6 +43,7 @@ from jgraphs import (
     whitney_lift,
     automorphism_group,
     binomial,
+    __version__,
 )
 from jgraphs.cli import main as cli_main
 
@@ -507,6 +508,35 @@ class TestVerifyReport:
             ("intersection_uniqueness_first_layer", first),
         ]:
             assert f": {unique}/{probed} unique" in rep.check(name).detail, name
+
+    def test_j84_all_sources_report(self):
+        doc = verify_johnson_aut(8, 4, all_sources=True).to_json_dict()
+        doc.pop("elapsed_seconds")
+        checks = {c.pop("name"): c for c in doc.pop("checks")}
+        assert doc == {
+            "status": "ok", "tool_version": __version__, "n": 8, "m": 4,
+            "vertex_count": 70, "degree": 16, "aut_order": "80640",
+            "expected_order": "80640", "stabilizer_order": "1152",
+            "stabilizer_bound": "1152", "passed": True, "seed": 1729,
+        }
+        assert list(checks) == EVEN_CHECKS
+        assert [name for name, c in checks.items() if not c["passed"]] == [
+            "intersection_uniqueness_first_layer"
+        ]
+        assert {name: checks[name]["detail"] for name in [
+            "stabilizer_index",
+            "stabilizer_bound",
+            "intersection_uniqueness",
+            "intersection_uniqueness_first_layer",
+        ]} == {
+            "stabilizer_index":
+                "stabilizer order 1152 times 70 vertices matches the group order (70 source(s))",
+            "stabilizer_bound": "stabilizer order 1152 vs bipartite bound 1152; equality: True",
+            "intersection_uniqueness": "layers >= 2: 3710/3710 unique over 70 source(s)",
+            "intersection_uniqueness_first_layer":
+                "layer 1: 0/1120 unique; recorded only, the intersection there is the whole "
+                "first layer",
+        }
 
     def test_one_bfs_per_swept_source(self, monkeypatch):
         import jgraphs.johnson

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from jgraphs import (
     Perm,
     PermGroup,
+    automorphism_group,
     brute_force_automorphisms,
+    complete_bipartite,
     complete_graph,
     compose,
     group_from_generators,
@@ -160,6 +162,30 @@ class TestPermGroup:
     def test_base_stabilizer_generators_of_trivial_group(self):
         g = group_from_generators([], 4)
         assert g.base == () and g.base_stabilizer_generators == ()
+
+
+def orbit_partition(group):
+    """The orbits as orbit() gives them, ordered by smallest member."""
+    out = []
+    for v in range(group.degree):
+        if not any(v in orbit for orbit in out):
+            out.append(group.orbit(v))
+    return tuple(out)
+
+
+class TestOrbits:
+    def test_match_orbit_on_the_corpus(self, corpus):
+        for name, g in corpus.items():
+            aut = automorphism_group(g)
+            assert aut.orbits() == orbit_partition(aut), name
+
+    def test_trivial_group_has_singletons(self):
+        assert PermGroup([], 6).orbits() == tuple(frozenset([v]) for v in range(6))
+
+    def test_intransitive_group(self):
+        aut = automorphism_group(complete_bipartite(3, 4))
+        assert aut.orbits() == (frozenset(range(3)), frozenset(range(3, 7)))
+        assert aut.orbits() == orbit_partition(aut)
 
 
 class TestSeededChain:

@@ -242,8 +242,15 @@ class TestAutomorphismGroup:
     def test_cap(self):
         from jgraphs import VertexCapExceeded
 
-        with pytest.raises(VertexCapExceeded):
-            automorphism_group(johnson_graph(6, 3), cap=10)
+        g = johnson_graph(6, 3)
+        for search in (
+            lambda cap: automorphism_group(g, cap=cap),
+            lambda cap: find_isomorphism(g, g, cap=cap),
+            lambda cap: canonical_form(g, cap=cap),
+        ):
+            with pytest.raises(VertexCapExceeded, match="^graph has 20 vertices, cap is 10$"):
+                search(10)
+            assert search(None)
 
     def test_past_deadline_stops_the_search(self):
         with pytest.raises(TimeLimitExceeded):
@@ -492,6 +499,9 @@ class TestAdversarialCorpus:
         "J(7,3) + K(7,3)": (
             lambda: disjoint_union(johnson_graph(7, 3), kneser_graph(7, 3)), 25401600
         ),
+        "CFI(K4)": (lambda: cfi_k4(False), 192),
+        "CFI(K4) twisted": (lambda: cfi_k4(True), 192),
+        "CFI(K4) + twisted": (lambda: disjoint_union(cfi_k4(False), cfi_k4(True)), 36864),
         "Paley(13)": (lambda: paley(13), 78),
         "Paley(17)": (lambda: paley(17), 136),
     }
@@ -512,6 +522,9 @@ class TestAdversarialCorpus:
         a = disjoint_union(shrikhande(), line_graph(complete_bipartite(4, 4))[0])
         b = disjoint_union(shrikhande(), shrikhande())
         assert canonical_form(a) != canonical_form(b)
+
+    def test_cfi_twins_differ(self):
+        assert canonical_form(cfi_k4(False)) != canonical_form(cfi_k4(True))
 
     @pytest.mark.parametrize("p", [13, 17])
     def test_paley_is_self_complementary(self, p):
