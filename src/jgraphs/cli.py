@@ -24,6 +24,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import asdict
 
 from ._version import __version__
 from .graphs import (
@@ -189,11 +190,7 @@ def cmd_aut(args) -> int:
         "order": str(aut.order),
         "generators": [p.cycle_string() for p in aut.generators],
         "orbit_sizes": [len(orbit) for orbit in aut.orbits()],
-        "transitivity": {
-            "vertex": profile.vertex,
-            "edge": profile.edge,
-            "distance": profile.distance,
-        },
+        "transitivity": asdict(profile),
     }
     _emit_json(report, args.out)
     return EXIT_OK
@@ -216,11 +213,14 @@ def cmd_verify(args) -> int:
     if not pairs:
         raise ValueError(f"no valid (n, m) pairs in n={args.n} m={args.m}")
     # binomial rejects a ground set above MAX_GROUND_SET as a usage error
-    offenders = [(n, m) for n, m in pairs if binomial(n, m) > cap]
+    offenders = []
+    for n, m in pairs:
+        try:
+            _check_cap(binomial(n, m), cap)
+        except VertexCapExceeded as exc:
+            offenders.append(f"({n},{m}): {exc}")
     if offenders:
-        listing = ", ".join(f"({n},{m})" for n, m in offenders)
-        print(f"vertex cap {cap} exceeded for: {listing}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise VertexCapExceeded("; ".join(offenders))
 
     entries = []
     timed_out = failed = False

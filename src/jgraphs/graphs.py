@@ -11,7 +11,7 @@ colex rank order from the subsets module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -50,6 +50,7 @@ def bits(mask: int):
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
@@ -59,7 +60,9 @@ class Graph:
     not participate in equality.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    n: int
+    adj: tuple[int, ...]
+    labels: tuple | None = field(compare=False)
 
     def __init__(self, n: int, adj, labels=None):
         if n < 1:
@@ -84,9 +87,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -123,14 +123,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -18,7 +18,7 @@ its one automorphism search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial
 
 from ._version import __version__
@@ -185,10 +185,12 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PartialVertexMap:
     """A partial injection on the vertex set of a fixed graph."""
 
-    __slots__ = ("graph", "_map")
+    graph: Graph
+    _map: dict[int, int]
 
     def __init__(self, graph: Graph, assignment):
         mapping = {}
@@ -202,9 +204,6 @@ class PartialVertexMap:
             mapping[v] = w
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "_map", dict(sorted(mapping.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialVertexMap is immutable")
 
     @classmethod
     def identity_on(cls, graph: Graph, vertices) -> "PartialVertexMap":
@@ -427,15 +426,7 @@ class VerificationReport:
             "passed": self.passed,
             "seed": self.seed,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "asserted": c.asserted,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

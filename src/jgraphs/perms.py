@@ -10,15 +10,18 @@ classic silent bug, hence the explicit function instead of an operator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .graphs import Graph, bits
 
 BRUTE_FORCE_LIMIT = 10
 
 
+@dataclass(frozen=True, slots=True)
 class Perm:
     """A permutation of 0..degree-1 stored as its image tuple."""
 
-    __slots__ = ("images",)
+    images: tuple[int, ...]
 
     def __init__(self, images):
         images = tuple(images)
@@ -29,9 +32,6 @@ class Perm:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
             seen[i] = True
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
 
     @property
     def degree(self) -> int:
@@ -78,14 +78,6 @@ class Perm:
 
     def __getitem__(self, i: int) -> int:
         return self.images[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
@@ -184,6 +176,7 @@ def _sift(levels, g, start):
     return g, len(levels)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PermGroup:
     """Exact permutation group built from generators.
 
@@ -209,7 +202,12 @@ class PermGroup:
     sizes.  ``orbits()`` closes each orbit of the group once.
     """
 
-    __slots__ = ("degree", "generators", "base", "order", "_levels", "_identity")
+    degree: int
+    generators: tuple[Perm, ...]
+    base: tuple[int, ...]
+    order: int
+    _levels: tuple[_Level, ...]
+    _identity: tuple[int, ...]
 
     def __init__(self, generators, degree: int, *, base=None):
         generators = tuple(generators)
@@ -232,9 +230,6 @@ class PermGroup:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_identity", identity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PermGroup is immutable")
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:

@@ -37,7 +37,7 @@ automorphisms.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, _check_cap, _check_deadline, bits
 from .perms import Perm, PermGroup, _orbit_mask
@@ -385,6 +385,7 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     return None
 
 
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """Canonical relabelling of a graph.
 
@@ -394,23 +395,13 @@ class CanonicalForm:
     compares vertex count and edges, not the ordering witness.
     """
 
-    __slots__ = ("n", "ordering", "edges")
+    n: int
+    ordering: tuple[int, ...] = field(compare=False)
+    edges: tuple[tuple[int, int], ...]
 
-    def __init__(self, n, ordering, edges):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ordering", tuple(ordering))
-        object.__setattr__(self, "edges", tuple(edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalForm is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
+    def __post_init__(self):
+        object.__setattr__(self, "ordering", tuple(self.ordering))
+        object.__setattr__(self, "edges", tuple(self.edges))
 
     def graph(self) -> Graph:
         return Graph.from_edges(self.n, self.edges)

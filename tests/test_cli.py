@@ -210,7 +210,10 @@ class TestVerify:
             capsys, "verify", "--n", "20..21", "--m", "10", "--cap", "5000"
         )
         assert code == 3
-        assert "(20,10)" in err and "(21,10)" in err
+        assert err == (
+            "error: (20,10): graph has 184756 vertices, cap is 5000; "
+            "(21,10): graph has 352716 vertices, cap is 5000\n"
+        )
 
     def test_ground_set_above_64_is_usage_error(self, capsys):
         # C(65, 2) = 2080 is under the cap; the ground set is what is wrong

@@ -1,16 +1,25 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jgraphs import (
     DEFAULT_VERTEX_CAP,
     Graph,
+    PartialVertexMap,
+    Perm,
+    PermGroup,
     SubsetLabel,
     VertexCapExceeded,
+    automorphism_group,
     binomial,
     bits,
+    canonical_form,
     complement,
     complete_bipartite,
     complete_graph,
+    compose,
     distance_partition,
     distance_table,
     induced_subgraph,
@@ -48,10 +57,24 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, (0b110, 0b01))
 
-    def test_immutable(self):
-        g = complete_graph(3)
+    @pytest.mark.parametrize("make, name", [
+        pytest.param(lambda: complete_graph(3), "n", id="Graph"),
+        pytest.param(lambda: Perm([1, 0, 2]), "images", id="Perm"),
+        pytest.param(lambda: PermGroup([Perm([1, 0, 2])], 3), "order", id="PermGroup"),
+        pytest.param(lambda: canonical_form(complete_graph(3)), "edges", id="CanonicalForm"),
+        pytest.param(
+            lambda: PartialVertexMap.identity_on(complete_graph(3), [0]), "graph",
+            id="PartialVertexMap",
+        ),
+    ])
+    def test_immutable(self, make, name):
+        value = make()
+        before = getattr(value, name)
         with pytest.raises(AttributeError):
-            g.n = 5
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
 
     def test_equality_ignores_labels(self):
         g = johnson_graph(4, 2)
@@ -63,6 +86,39 @@ class TestGraph:
         g = complete_graph(4)
         assert g.neighbors(0) == frozenset({1, 2, 3})
         assert neighborhood(g, 0) == frozenset({1, 2, 3})
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("round_trip", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+class TestCopies:
+    def test_graph_keeps_labels(self, round_trip):
+        g = johnson_graph(5, 2)
+        h = round_trip(g)
+        assert h == g and hash(h) == hash(g)
+        assert h.adj == g.adj and h.labels == g.labels
+
+    def test_perm(self, round_trip):
+        p = Perm.from_cycles(5, (0, 1, 2))
+        q = round_trip(p)
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+
+    def test_perm_group(self, round_trip):
+        aut = automorphism_group(johnson_graph(6, 3))
+        copied = round_trip(aut)
+        assert copied.order == aut.order == 1440
+        assert copied.generators == aut.generators and copied.base == aut.base
+        a, b = aut.generators[:2]
+        assert copied.contains(compose(a, b)) and copied.contains(aut.generators[-1])
+        assert not copied.contains(Perm.from_cycles(aut.degree, (0, 1)))
+
+    def test_canonical_form(self, round_trip):
+        cf = canonical_form(kneser_graph(5, 2))
+        copied = round_trip(cf)
+        assert copied == cf and hash(copied) == hash(cf)
+        assert copied.ordering == cf.ordering and copied.edges == cf.edges
 
 
 class TestFamilies:

@@ -252,6 +252,10 @@ class TestIntersectionWitness:
         with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.9"):
             unique_intersection_witness(g, 0, v)
 
+    def test_unreachable_probe_rejected(self):
+        with pytest.raises(ValueError, match="vertex 1 is unreachable from 0"):
+            unique_intersection_witness(Graph(2, [0, 0]), 0, 1)
+
 
 class TestLocalReconstruction:
     def test_identity_seed_gives_identity(self):
@@ -283,8 +287,30 @@ class TestLocalReconstruction:
         far = min(v for v in range(g.n) if distance_partition(g, 0).dist[v] == 2)
         images = {v: v for v in dom}
         images[dom[1]] = far
-        with pytest.raises((ValueError, ReconstructionError)):
+        with pytest.raises(ValueError, match="breaks adjacency"):
             local_reconstruction(g, 0, PartialVertexMap(g, images))
+
+    def test_not_rigid_off_hypothesis(self):
+        # K_{3,3}: vertices 1 and 2 are twins, so the closed neighbourhood of
+        # 0 does not pin them down
+        g = complete_bipartite(3, 3)
+        with pytest.raises(ReconstructionError) as info:
+            local_reconstruction(g, 0, PartialVertexMap.identity_on(g, {0, 3, 4, 5}))
+        err = info.value
+        assert (err.vertex, err.layer, err.candidates) == (1, 2, frozenset({1, 2}))
+
+    def test_layer_profiles_differ(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(
+            ReconstructionError,
+            match=r"layer profiles around 0 and 1 differ: \(1, 1, 1\) vs \(1, 2\)",
+        ):
+            local_reconstruction(g, 0, PartialVertexMap(g, {0: 1, 1: 0}))
+
+    def test_disconnected_graph_rejected(self):
+        g = Graph(2, [0, 0])
+        with pytest.raises(ValueError, match="graph must be connected from the source"):
+            local_reconstruction(g, 0, PartialVertexMap.identity_on(g, [0]))
 
     def test_partial_map_validates_injectivity(self):
         g = johnson_graph(6, 3)
@@ -342,6 +368,10 @@ class TestTransitivityProfile:
         g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         prof = transitivity_profile(g, automorphism_group(g))
         assert prof.vertex and prof.edge and prof.distance
+
+    def test_group_degree_must_match(self):
+        with pytest.raises(ValueError, match="group degree 4 != vertex count 3"):
+            transitivity_profile(complete_graph(3), PermGroup([], 4))
 
 
 def _single_orbit(gens, pairs, key=lambda pair: pair):

@@ -594,6 +594,13 @@ class TestCanonicalForm:
         h = cf.graph()
         assert find_isomorphism(g, h) is not None
 
+    def test_equality_and_hash_ignore_ordering(self):
+        a = CanonicalForm(3, [0, 1, 2], [(0, 1)])
+        b = CanonicalForm(3, (2, 1, 0), ((0, 1),))
+        assert a == b and hash(a) == hash(b)
+        assert a.ordering == (0, 1, 2) and a.edges == ((0, 1),)
+        assert a != CanonicalForm(3, [0, 1, 2], [(1, 2)])
+
     def test_ordering_is_a_permutation(self):
         g = johnson_graph(5, 2)
         cf = canonical_form(g)
