@@ -23,7 +23,6 @@ import os
 import sys
 import threading
 import time
-from collections import Counter
 from dataclasses import asdict
 
 from ._version import __version__
@@ -36,7 +35,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     distance_partition,
-    distance_table,
     johnson_graph,
     kneser_graph,
     line_graph,
@@ -48,7 +46,7 @@ from .johnson import (
     verify_johnson_aut,
 )
 from .formats import _graph6_size, parse_graph6, write_dot, write_edgelist, write_graph6
-from .search import automorphism_group, find_isomorphism, verify_isomorphism
+from .search import automorphism_group, find_isomorphism
 from .subsets import binomial
 
 EXIT_OK = 0
@@ -265,21 +263,17 @@ def cmd_dist(args) -> int:
         sources = [args.source]
 
     # one BFS per vertex serves both the per-source entries and the
-    # distance-law check; a single source needs one BFS and no table
+    # distance-law check; without the check only the sources are searched
     checked = family == "johnson"
-    if checked or args.all_sources:
-        table = distance_table(g)
-        rows = [(x, table[x]) for x in sources]
-    else:
-        rows = [(x, distance_partition(g, x).dist) for x in sources]
-    entries = []
-    for x, row in rows:
-        sizes = Counter(d for d in row if d is not None)
-        entries.append({
+    parts = {x: distance_partition(g, x) for x in (range(g.n) if checked else sources)}
+    entries = [
+        {
             "source": x,
-            "layer_sizes": [sizes[d] for d in range(len(sizes))],
-            "eccentricity": len(sizes) - 1,
-        })
+            "layer_sizes": list(parts[x].layer_sizes),
+            "eccentricity": parts[x].eccentricity,
+        }
+        for x in sources
+    ]
 
     # cross-check the subset-intersection distance law on every ordered
     # pair when we know the input is a Johnson graph (family form only; a
@@ -287,9 +281,9 @@ def cmd_dist(args) -> int:
     if checked:
         labels = g.labels
         agrees = all(
-            row[v] == distance_by_intersection(labels[u], labels[v])
-            for u, row in enumerate(table)
-            for v in range(g.n)
+            d == distance_by_intersection(labels[u], labels[v])
+            for u, part in parts.items()
+            for v, d in enumerate(part.dist)
         )
         verdict = "agree" if agrees else "mismatch"
     else:
@@ -317,8 +311,6 @@ def cmd_iso(args) -> int:
         "isomorphic": p is not None,
     }
     if p is not None:
-        if not verify_isomorphism(g, h, p):
-            raise RuntimeError("isomorphism witness failed re-verification")
         report["witness"] = p.cycle_string()
     _emit_json(report, args.out)
     return EXIT_OK

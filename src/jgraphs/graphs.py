@@ -50,7 +50,7 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 

@@ -185,7 +185,7 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PartialVertexMap:
     """A partial injection on the vertex set of a fixed graph."""
 

@@ -17,7 +17,7 @@ from .graphs import Graph, bits
 BRUTE_FORCE_LIMIT = 10
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Perm:
     """A permutation of 0..degree-1 stored as its image tuple."""
 
@@ -176,7 +176,7 @@ def _sift(levels, g, start):
     return g, len(levels)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
     """Exact permutation group built from generators.
 

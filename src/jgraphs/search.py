@@ -22,13 +22,15 @@ difference, a candidate in the orbit of an explored sibling under the
 known automorphisms that fix the branch's prefix is skipped, and after
 an automorphism the walk jumps back to where its two paths part.
 ``_search`` walks a graph's tree once and keeps each leaf whose map from
-the first leaf preserves edges as an automorphism that prunes the walk.
-The first path's vertices are a base for the automorphism group, and
-the generators found are strong for it, so the group's stabilizer chain
-is seeded with no Schreier-Sims pass.  An isomorphism is the first leaf
-of h's tree, walked along g's first path, onto which g's first leaf maps
-edge for edge; a non-isomorphic pair that refinement cannot split may
-show no automorphism of h and walk all of h's trace-compatible tree.
+the first leaf check_automorphism accepts as an automorphism that prunes
+the walk.  The first path's vertices are a base for the automorphism
+group, and the generators found are strong for it, so the group's
+stabilizer chain is seeded with no Schreier-Sims pass.  An isomorphism
+is the first leaf of h's tree, walked along g's first path, onto which
+verify_isomorphism accepts the map from g's first leaf; a non-isomorphic
+pair that refinement cannot split may show no automorphism of h and walk
+all of h's trace-compatible tree.  Each witness is so checked once, by
+the public checker, where the search finds it.
 The canonical form is the leaf with the least relabelled adjacency, with
 the group's generators and every map between two equal leaves as known
 automorphisms.
@@ -266,21 +268,21 @@ def _leaf_map(leaf_a, leaf_b):
     return tuple(images)
 
 
-def _search(adj, cells, path, gens, deadline=None):
-    """Walk the tree of adj once; yield its first leaf and every later leaf
-    whose cell-by-cell map from the first does not preserve edges.
+def _search(g, cells, path, gens, deadline=None):
+    """Walk the tree of g once; yield its first leaf and every later leaf
+    whose cell-by-cell map from the first is not an automorphism.
 
-    The maps that do are automorphisms, appended to ``gens`` to prune the
-    rest of the walk; no leaf they reach is an isomorphism target unless
-    the first is.  Backtracking goes deepest level first, so they are
-    strong for the base of first-path vertices.
+    The maps that are, accepted by check_automorphism, are appended to
+    ``gens`` to prune the rest of the walk; no leaf they reach is an
+    isomorphism target unless the first is.  Backtracking goes deepest
+    level first, so they are strong for the base of first-path vertices.
     """
-    leaves = _leaves(adj, cells, path, gens, deadline)
+    leaves = _leaves(g.adj, cells, path, gens, deadline)
     for first in leaves:  # at most once: the inner loop drains the walk
         yield first
         for leaf in leaves:
             images = _leaf_map(first, leaf)
-            if _maps_edges(adj, adj, images):
+            if check_automorphism(g, Perm(images)):
                 gens.append(images)
             else:
                 yield leaf
@@ -336,10 +338,10 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     """The automorphism group of g, optionally restricted to colour-preserving
     permutations when an initial colouring is given.
 
-    Every generator handed to the group is re-verified through
-    check_automorphism before it is returned.  The stabilizer chain is
-    seeded from the search's first path, so ``base`` lists first-path
-    vertices and no Schreier-Sims pass runs.
+    Each generator is accepted by check_automorphism where the search
+    finds it.  The stabilizer chain is seeded from the search's first
+    path, so ``base`` lists first-path vertices and no Schreier-Sims pass
+    runs.
 
     Past ``deadline``, a ``time.monotonic()`` instant checked at every
     search node, TimeLimitExceeded is raised; None means no limit.
@@ -348,20 +350,15 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     cells = _initial_cells(g, colors)
     _refine(g.adj, cells, deque(cells))
     path, found = [], []
-    deque(_search(g.adj, cells, path, found, deadline), maxlen=0)
-    gens = []
-    for images in found:
-        p = Perm(images)
-        if not check_automorphism(g, p):
-            raise RuntimeError("internal error: search produced a non-automorphism")
-        gens.append(p)
-    return PermGroup(gens, g.n, base=tuple(v for _, v, _ in path))
+    deque(_search(g, cells, path, found, deadline), maxlen=0)
+    return PermGroup([Perm(images) for images in found], g.n, base=tuple(v for _, v, _ in path))
 
 
 def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     """An isomorphism from g onto h as a Perm, or None.
 
-    Any returned permutation has been verified edge for edge.
+    The witness is accepted by verify_isomorphism, edge for edge, where the
+    search finds it.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -375,17 +372,14 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
         return None
     path = []
     leaf = next(_leaves(g.adj, cells_g, path))
-    for other in _search(h.adj, cells, path, []):
-        images = _leaf_map(leaf, other)
-        if _maps_edges(g.adj, h.adj, images):
-            p = Perm(images)
-            if not verify_isomorphism(g, h, p):
-                raise RuntimeError("internal error: search produced a non-isomorphism")
+    for other in _search(h, cells, path, []):
+        p = Perm(_leaf_map(leaf, other))
+        if verify_isomorphism(g, h, p):
             return p
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CanonicalForm:
     """Canonical relabelling of a graph.
 
@@ -441,9 +435,8 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
         if best_key is None or key < best_key:
             best_key, best_leaf = key, leaf
         elif key == best_key:
-            gamma = _leaf_map(best_leaf, leaf)
-            if _maps_edges(adj, adj, gamma):
-                known.append(gamma)
+            # equal relabelled adjacency: the map between the leaves is an automorphism
+            known.append(_leaf_map(best_leaf, leaf))
     ordering = [cell.bit_length() - 1 for cell in best_leaf]
     edges = []
     for i in range(n):

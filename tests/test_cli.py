@@ -380,6 +380,7 @@ class TestDist:
         assert doc["sources"] == self.per_source_entries(johnson_graph(n, m), [source])
 
     def test_distance_law_runs_one_bfs_per_vertex(self, capsys, validator, monkeypatch):
+        import jgraphs.cli
         import jgraphs.graphs
 
         sources = []
@@ -389,6 +390,7 @@ class TestDist:
             return distance_partition(g, source)
 
         monkeypatch.setattr(jgraphs.graphs, "distance_partition", counting)
+        monkeypatch.setattr(jgraphs.cli, "distance_partition", counting)
         code, doc, _ = run_json(capsys, validator, "dist", "johnson", "7", "3", "--all-sources")
         assert code == 0 and doc["distance_law"] == "agree"
         assert sources == list(range(35))

@@ -75,6 +75,8 @@ class TestGraph:
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is before
+        with pytest.raises(AttributeError):
+            value.not_a_field = 5
 
     def test_equality_ignores_labels(self):
         g = johnson_graph(4, 2)

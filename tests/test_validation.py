@@ -1,0 +1,122 @@
+"""Argument checks that no other test reaches: each call raises the given
+exception with a message that names the fault."""
+
+import re
+
+import pytest
+
+from jgraphs import (
+    ColoredPartition,
+    Graph,
+    PartialVertexMap,
+    Perm,
+    PermGroup,
+    SubsetLabel,
+    automorphism_group,
+    bipartite_aut_order,
+    check_automorphism,
+    complementation_map,
+    complete_bipartite,
+    complete_graph,
+    compose,
+    induced_action,
+    induced_subgraph,
+    intersection_size,
+    johnson_graph,
+    line_graph,
+    local_reconstruction,
+    neighborhood,
+    neighborhood_iso,
+    verify_isomorphism,
+    verify_johnson_aut,
+    whitney_lift,
+)
+
+K3 = complete_graph(3)
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def _closed_neighbourhood_seed(g, x):
+    return PartialVertexMap.identity_on(g, [x, *g.neighbors(x)])
+
+
+CASES = [
+    # graphs
+    ("Graph rows", lambda: Graph(2, [0]), ValueError, "adjacency has 1 rows for 2 vertices"),
+    ("Graph self-loop", lambda: Graph(2, [1, 0]), ValueError, "self-loop at vertex 0"),
+    ("Graph labels", lambda: Graph(2, [0, 0], labels=[1]), ValueError,
+     "label count must match vertex count"),
+    ("from_edges range", lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0,2) outside 0..1"),
+    ("complete_graph", lambda: complete_graph(0), ValueError,
+     "complete graph needs at least one vertex"),
+    ("complete_bipartite", lambda: complete_bipartite(0, 3), ValueError,
+     "both sides of a complete bipartite graph must be nonempty"),
+    ("line_graph edgeless", lambda: line_graph(Graph(3, [0, 0, 0])), ValueError,
+     "line graph of an edgeless graph"),
+    ("induced_subgraph empty", lambda: induced_subgraph(K3, []), ValueError,
+     "induced subgraph needs at least one vertex"),
+    ("induced_subgraph range", lambda: induced_subgraph(K3, [0, 3]), ValueError,
+     "vertices outside 0..2"),
+    ("neighborhood", lambda: neighborhood(K3, 3), ValueError, "vertex 3 outside 0..2"),
+    # permutations and groups
+    ("Perm.parse empty cycle", lambda: Perm.parse("()()", 3), ValueError, "empty cycle in '()()'"),
+    ("Perm.parse non-integer", lambda: Perm.parse("(a b)", 3), ValueError,
+     "malformed cycle text '(a b)'"),
+    ("compose degrees", lambda: compose(Perm.identity(2), Perm.identity(3)), ValueError,
+     "degree mismatch: 2 vs 3"),
+    ("PermGroup tuple generator", lambda: PermGroup([(1, 0)], 2), ValueError,
+     "generators must be Perm instances"),
+    ("PermGroup.contains degree", lambda: PermGroup([], 2).contains(Perm.identity(3)), ValueError,
+     "degree mismatch: 3 vs 2"),
+    ("PermGroup.orbit range", lambda: PermGroup([], 2).orbit(2), ValueError, "point 2 outside 0..1"),
+    # search
+    ("from_cells empty cell", lambda: ColoredPartition.from_cells(3, [[0, 1], [], [2]]), ValueError,
+     "empty cell in partition"),
+    ("from_cells range", lambda: ColoredPartition.from_cells(3, [[0, 1], [3]]), ValueError,
+     "vertex 3 outside 0..2"),
+    ("automorphism_group partition size",
+     lambda: automorphism_group(K3, colors=ColoredPartition.uniform(2)), ValueError,
+     "partition covers 2 vertices, graph has 3"),
+    ("check_automorphism degree", lambda: check_automorphism(K3, Perm.identity(2)), ValueError,
+     "permutation degree 2 != vertex count 3"),
+    # subsets
+    ("SubsetLabel ground set", lambda: SubsetLabel(0, 0), ValueError,
+     "ground set size must be in 1.."),
+    ("SubsetLabel mask", lambda: SubsetLabel(3, 8), ValueError,
+     "mask 0x8 does not fit a 3-element ground set"),
+    ("intersection_size ground sets", lambda: intersection_size(SubsetLabel(3, 1), SubsetLabel(4, 1)),
+     ValueError, "mismatched ground sets: 3 vs 4"),
+    # johnson
+    ("induced_action degree", lambda: induced_action(Perm.identity(3), 4, 2), ValueError,
+     "ground permutation degree 3 != 4"),
+    ("complementation_map", lambda: complementation_map(0), ValueError,
+     "subset size must be positive, got 0"),
+    ("whitney_lift non-edge", lambda: whitney_lift(Perm.identity(3), P3, [(0, 1), (0, 2)]),
+     ValueError, "edge map entry (0,2) is not an edge of the base graph"),
+    ("neighborhood_iso label", lambda: neighborhood_iso(5, 2, SubsetLabel(6, 0b11)), ValueError,
+     "label ground set 6 != 5"),
+    ("PartialVertexMap range", lambda: PartialVertexMap(K3, {0: 3}), ValueError,
+     "assignment 0 -> 3 outside 0..2"),
+    ("restriction degree", lambda: PartialVertexMap.restriction(K3, Perm.identity(2), [0]),
+     ValueError, "permutation degree 2 != vertex count 3"),
+    ("local_reconstruction other graph",
+     lambda: local_reconstruction(johnson_graph(5, 2), 0, _closed_neighbourhood_seed(K3, 0)),
+     ValueError, "seed is bound to a different graph"),
+    ("local_reconstruction source",
+     lambda: local_reconstruction(K3, 3, _closed_neighbourhood_seed(K3, 0)), ValueError,
+     "source 3 outside 0..2"),
+    ("bipartite_aut_order", lambda: bipartite_aut_order(0, 1), ValueError,
+     "both sides must be nonempty"),
+    ("report.check", lambda: verify_johnson_aut(4, 2).check("nope"), KeyError, "nope"),
+]
+
+
+@pytest.mark.parametrize("call, exception, message",
+                         [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_rejects_invalid_argument(call, exception, message):
+    with pytest.raises(exception, match=re.escape(message)):
+        call()
+
+
+def test_verify_isomorphism_on_different_vertex_counts_is_false():
+    assert verify_isomorphism(K3, complete_graph(2), Perm.identity(3)) is False
