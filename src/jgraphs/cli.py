@@ -196,10 +196,10 @@ def cmd_aut(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
-    # no NaN, no infinity and nothing beyond the platform's longest wait
-    if not math.isfinite(args.time_limit) or args.time_limit > threading.TIMEOUT_MAX:
+    # no NaN, no infinity, no negative and nothing beyond the platform's longest wait
+    if not (math.isfinite(args.time_limit) and 0 <= args.time_limit <= threading.TIMEOUT_MAX):
         raise ValueError(
-            f"--time-limit must be finite and at most {threading.TIMEOUT_MAX:g} s, "
+            f"--time-limit must be finite, from 0 to {threading.TIMEOUT_MAX:g} s, "
             f"got {args.time_limit}"
         )
     pairs = [
@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     entries = []
     timed_out = failed = False
     for n, m in sorted(pairs):
-        deadline = time.monotonic() + args.time_limit if args.time_limit > 0 else None
+        deadline = time.monotonic() + args.time_limit if args.time_limit else None
         try:
             report = verify_johnson_aut(
                 n, m, cap=cap, seed=args.seed, all_sources=args.all_sources, deadline=deadline

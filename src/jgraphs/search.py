@@ -30,10 +30,10 @@ is the first leaf of h's tree, walked along g's first path, onto which
 verify_isomorphism accepts the map from g's first leaf; a non-isomorphic
 pair that refinement cannot split may show no automorphism of h and walk
 all of h's trace-compatible tree.  Each witness is so checked once, by
-the public checker, where the search finds it.
-The canonical form is the leaf with the least relabelled adjacency, with
-the group's generators and every map between two equal leaves as known
-automorphisms.
+the public checker, where the search finds it.  The canonical form is
+the leaf with the least relabelled adjacency over one ``_search`` walk
+with no trace pruning, which prunes by the automorphisms it finds and
+by every map between two leaves with equal relabelled adjacency.
 """
 
 from __future__ import annotations
@@ -179,10 +179,10 @@ def _maps_edges(adj_a, adj_b, images):
     return True
 
 
-def _support(images):
-    """The points an image tuple moves, as a bit mask."""
+def _support(perm):
+    """The points a permutation moves, as a bit mask."""
     mask = 0
-    for p, q in enumerate(images):
+    for p, q in enumerate(perm.images):
         if p != q:
             mask |= 1 << p
     return mask
@@ -220,7 +220,7 @@ def _leaves(adj, cells, path=None, known=(), deadline=None):
         frame = stack[-1]
         cells, prefix, k, left, explored, _ = frame
         if explored and left and support:
-            fixers = [a for a, moved in zip(known, support) if not moved & prefix]
+            fixers = [a.images for a, moved in zip(known, support) if not moved & prefix]
             if fixers:
                 left &= ~_orbit_mask(fixers, explored)
         if not left:
@@ -272,8 +272,8 @@ def _search(g, cells, path, gens, deadline=None):
     """Walk the tree of g once; yield its first leaf and every later leaf
     whose cell-by-cell map from the first is not an automorphism.
 
-    The maps that are, accepted by check_automorphism, are appended to
-    ``gens`` to prune the rest of the walk; no leaf they reach is an
+    The Perms that check_automorphism accepts are appended to ``gens``
+    to prune the rest of the walk; no leaf they reach is an
     isomorphism target unless the first is.  Backtracking goes deepest
     level first, so they are strong for the base of first-path vertices.
     """
@@ -281,9 +281,9 @@ def _search(g, cells, path, gens, deadline=None):
     for first in leaves:  # at most once: the inner loop drains the walk
         yield first
         for leaf in leaves:
-            images = _leaf_map(first, leaf)
-            if check_automorphism(g, Perm(images)):
-                gens.append(images)
+            p = Perm(_leaf_map(first, leaf))
+            if check_automorphism(g, p):
+                gens.append(p)
             else:
                 yield leaf
 
@@ -351,7 +351,7 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     _refine(g.adj, cells, deque(cells))
     path, found = [], []
     deque(_search(g, cells, path, found, deadline), maxlen=0)
-    return PermGroup([Perm(images) for images in found], g.n, base=tuple(v for _, v, _ in path))
+    return PermGroup(found, g.n, base=tuple(v for _, v, _ in path))
 
 
 def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
@@ -408,22 +408,21 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     """Deterministic canonical labelling via the pruned leaf minimum.
 
     All leaves of the individualization-refinement tree are compared by
-    their relabelled adjacency rows and the minimum wins.  Known
-    automorphisms (the computed group plus any found at equal leaves)
-    collapse sibling branches to orbit representatives, and one found at
-    an equal leaf sends the walk back to where the two leaves' paths part;
-    pruned subtrees only repeat leaf values already seen, so the minimum
-    is unaffected and isomorphic graphs agree on it.
+    their relabelled adjacency rows and the minimum wins.  One ``_search``
+    walk prunes by the automorphisms it finds from its first leaf and by
+    the map between any two leaves with equal rows; pruned subtrees only
+    repeat leaf values already seen, so the minimum is unaffected and
+    isomorphic graphs agree on it.
     """
     _check_cap(g.n, cap)
     n = g.n
     adj = g.adj
-    known = [p.images for p in automorphism_group(g, cap=cap).generators]
+    known = []
     positions = [1 << i for i in range(n)]
     cells = [(1 << n) - 1]
     _refine(adj, cells, deque(cells))
     best_key = best_leaf = None
-    for leaf in _leaves(adj, cells, known=known):
+    for leaf in _search(g, cells, None, known):
         relabel = _leaf_map(leaf, positions)
         rows = [0] * n
         for v in range(n):
@@ -436,7 +435,7 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
             best_key, best_leaf = key, leaf
         elif key == best_key:
             # equal relabelled adjacency: the map between the leaves is an automorphism
-            known.append(_leaf_map(best_leaf, leaf))
+            known.append(Perm(_leaf_map(best_leaf, leaf)))
     ordering = [cell.bit_length() - 1 for cell in best_leaf]
     edges = []
     for i in range(n):

@@ -278,7 +278,7 @@ class TestVerify:
         assert code == 0
         assert doc[0]["status"] == "ok" and doc[0]["passed"]
 
-    @pytest.mark.parametrize("limit", ["inf", "-inf", "nan", "1e300"])
+    @pytest.mark.parametrize("limit", ["inf", "-inf", "nan", "1e300", "-5"])
     def test_unusable_time_limit_is_usage_error(self, capsys, limit):
         argv = ["verify", "--n", "5", "--m", "2", f"--time-limit={limit}"]
         code, out, err = run_cli(capsys, *argv)

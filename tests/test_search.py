@@ -333,9 +333,10 @@ class TestSeededChain:
 
 
 class TestOneWalk:
-    """The automorphism search and the isomorphism search share one walk,
-    which runs once per graph searched, and every leaf the automorphism
-    search compares with the first leaf gives a generator."""
+    """The automorphism search, the isomorphism search and the canonical
+    form share one walk, which runs once per graph searched, and every
+    leaf the automorphism search compares with the first leaf gives a
+    generator."""
 
     GRAPHS = {
         "E10": lambda: Graph(10, [0] * 10),
@@ -361,6 +362,30 @@ class TestOneWalk:
         p = find_isomorphism(g, h)
         assert p is not None and verify_isomorphism(g, h, p)
         assert len(walks) == 2
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_one_walk_per_canonical_form(self, monkeypatch, name):
+        g = self.GRAPHS[name]()
+        walks = count_calls(monkeypatch, "_leaves")
+        searches = count_calls(monkeypatch, "automorphism_group")
+        canonical_form(g)
+        assert len(walks) == 1 and len(searches) == 0
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_one_perm_per_found_automorphism(self, monkeypatch, name):
+        g = self.GRAPHS[name]()
+        perms = []
+        init = Perm.__init__
+
+        def counted(perm, images):
+            perms.append(None)
+            init(perm, images)
+
+        monkeypatch.setattr(Perm, "__init__", counted)
+        checks = count_calls(monkeypatch, "_maps_edges")
+        automorphism_group(g)
+        # the Perm that check_automorphism accepts is the group's generator
+        assert len(perms) == len(checks)
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_no_leaf_wasted(self, monkeypatch, name):
@@ -560,12 +585,15 @@ class TestAdversarialCorpus:
         make, order = self.CASES[name]
         g = make()
         assert automorphism_group(g).order == order
-        images = list(range(g.n))
-        random.Random(name).shuffle(images)
-        h = relabel(g, Perm(images))
-        p = find_isomorphism(g, h)
-        assert p is not None and verify_isomorphism(g, h, p)
-        assert canonical_form(g) == canonical_form(h)
+        rng = random.Random(name)
+        form = canonical_form(g)
+        for _ in range(3):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = relabel(g, Perm(images))
+            p = find_isomorphism(g, h)
+            assert p is not None and verify_isomorphism(g, h, p)
+            assert canonical_form(h) == form
 
     def test_unions_of_srg_twins_differ(self):
         a = disjoint_union(shrikhande(), line_graph(complete_bipartite(4, 4))[0])
@@ -598,8 +626,10 @@ class TestOracles:
         flipped = Graph.from_edges(n, sorted(set(relabelled.edges()) ^ flips))
         for h in (relabelled, flipped):
             p = find_isomorphism(g, h)
-            assert (p is None) == (not nx.is_isomorphic(G, networkx_graph(h)))
+            isomorphic = nx.is_isomorphic(G, networkx_graph(h))
+            assert (p is None) == (not isomorphic)
             assert p is None or verify_isomorphism(g, h, p)
+            assert (canonical_form(g) == canonical_form(h)) == isomorphic
         assert automorphism_group(g).order == networkx_aut_order(g)
 
     @pytest.mark.parametrize(
