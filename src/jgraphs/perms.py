@@ -1,7 +1,7 @@
 """Permutations as image tuples, exact permutation groups via a
 stabilizer chain (deterministic Schreier-Sims, or seeded from a known
-base and strong generating set), and a brute-force automorphism oracle
-for small graphs.
+base and strong generating set, with coset representatives built only
+for membership), and a brute-force automorphism oracle for small graphs.
 
 Composition convention, frozen package-wide: ``compose(p, q)`` applies q
 first, so ``compose(p, q)[i] == p[q[i]]``.  Getting this backwards is the
@@ -10,7 +10,9 @@ classic silent bug, hence the explicit function instead of an operator.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph, bits
 
@@ -28,7 +30,7 @@ class Perm:
         n = len(images)
         seen = [False] * n
         for i in images:
-            if not isinstance(i, int) or not 0 <= i < n or seen[i]:
+            if type(i) is not int or not 0 <= i < n or seen[i]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
             seen[i] = True
         object.__setattr__(self, "images", images)
@@ -191,15 +193,15 @@ class PermGroup:
     pointwise generate the pointwise stabilizer of ``base[:i]``, and only
     the identity fixes every base point.  Each generator joins the level
     of the first base point it moves (a generator that moves none raises
-    ValueError), levels without a generator are dropped, and each level's
-    transversal is the orbit of its point under the generators of that
-    level and deeper ones.  No Schreier generator is sifted, so a set
-    that is not strong gives a wrong ``order``.  An individualization-
-    refinement search yields such a set relative to the vertices it
-    individualizes along its first path.
+    ValueError), and levels without a generator are dropped.  No Schreier
+    generator is sifted, so a set that is not strong gives a wrong
+    ``order``.  An individualization-refinement search yields such a set
+    relative to the vertices it individualizes along its first path.
 
-    ``order`` is an exact Python int, the product of the transversal
-    sizes.  ``orbits()`` closes each orbit of the group once.
+    ``order`` is an exact Python int, the product over levels of the orbit
+    size of the level's point under the generators of that level and deeper
+    ones.  ``orbits()`` closes each orbit of the group once.  ``contains``
+    and ``elements`` build the coset representatives once, on first use.
     """
 
     degree: int
@@ -221,9 +223,10 @@ class PermGroup:
             levels = _schreier_sims(generators, identity)
         else:
             levels = _seeded_chain(generators, tuple(base), identity)
-        order = 1
-        for level in levels:
-            order *= len(level.trans)
+        order, gens = 1, []
+        for level in reversed(levels):
+            gens += level.gens
+            order *= _orbit_mask(gens, 1 << level.point).bit_count()
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "base", tuple(level.point for level in levels))
@@ -234,7 +237,7 @@ class PermGroup:
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        residue, _ = _sift(self._levels, p.images, 0)
+        residue, _ = _sift(self._transversals, p.images, 0)
         return residue == self._identity
 
     def orbit(self, point: int) -> frozenset[int]:
@@ -262,6 +265,14 @@ class PermGroup:
         """
         return tuple(Perm(g) for level in self._levels[1:] for g in level.gens)
 
+    @cached_property
+    def _transversals(self):
+        """The chain with every level's transversal closed, built on first use."""
+        levels = deepcopy(self._levels)  # concurrent first calls never share a half-closed level
+        for i in range(len(levels)):
+            _close_orbit(levels, i)
+        return levels
+
     def elements(self):
         """Yield every element exactly once (use only for small orders)."""
 
@@ -269,7 +280,7 @@ class PermGroup:
             if i == len(self._levels):
                 yield self._identity
                 return
-            level = self._levels[i]
+            level = self._transversals[i]
             for point in sorted(level.trans):
                 rep = level.trans[point]
                 for tail in rec(i + 1):
@@ -297,18 +308,16 @@ def _schreier_sims(generators, identity):
 
 def _seeded_chain(generators, base, identity):
     """The chain of a strong generating set relative to ``base``."""
-    if len(set(base)) != len(base) or not all(0 <= b < len(identity) for b in base):
-        raise ValueError(f"base must list distinct points of 0..{len(identity) - 1}: {base}")
+    n = len(identity)
+    if len(set(base)) != len(base) or not all(type(b) is int and 0 <= b < n for b in base):
+        raise ValueError(f"base must list distinct points of 0..{n - 1}: {base}")
     levels = [_Level(b, identity) for b in base]
     for g in generators:
         i = next((i for i, b in enumerate(base) if g.images[b] != b), None)
         if i is None:
             raise ValueError(f"generator {g.cycle_string()} fixes every base point")
         levels[i].gens.append(g.images)
-    levels = [level for level in levels if level.gens]
-    for i in range(len(levels)):
-        _close_orbit(levels, i)
-    return levels
+    return [level for level in levels if level.gens]
 
 
 def _place(levels, residue, index, identity):

@@ -115,6 +115,13 @@ class TestCopies:
         a, b = aut.generators[:2]
         assert copied.contains(compose(a, b)) and copied.contains(aut.generators[-1])
         assert not copied.contains(Perm.from_cycles(aut.degree, (0, 1)))
+        # the transversals that contains built on first use copy with the group
+        built = round_trip(copied)
+        assert "_transversals" in vars(built)
+        assert built.order == aut.order and built.base == aut.base
+        assert built.contains(compose(a, b)) and built.contains(aut.generators[-1])
+        assert not built.contains(Perm.from_cycles(aut.degree, (0, 1)))
+        assert len(set(built.elements())) == 1440
 
     def test_canonical_form(self, round_trip):
         cf = canonical_form(kneser_graph(5, 2))

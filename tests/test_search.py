@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from jgraphs import (
     ColoredPartition,
     Graph,
     Perm,
+    PermGroup,
     TimeLimitExceeded,
     automorphism_group,
     brute_force_automorphisms,
@@ -29,6 +31,7 @@ from jgraphs import (
     line_graph,
     verify_isomorphism,
 )
+import jgraphs.perms
 import jgraphs.search
 from jgraphs.perms import BRUTE_FORCE_LIMIT
 
@@ -111,16 +114,16 @@ def paley(p: int) -> Graph:
     )
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls to a jgraphs.search function for one test."""
+def count_calls(monkeypatch, name, module=jgraphs.search):
+    """Count the calls to a function of a jgraphs module for one test."""
     calls = []
-    inner = getattr(jgraphs.search, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(jgraphs.search, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -330,6 +333,29 @@ class TestSeededChain:
         random.Random(name).shuffle(images)
         assert aut.contains(Perm(images))
         assert aut.contains(Perm.from_cycles(100, (0, 1)))
+
+    @pytest.mark.parametrize("name", ["C6", "K5", "K33", "petersen", "J63"])
+    def test_search_builds_no_coset_representatives(self, monkeypatch, corpus, name):
+        closes = count_calls(monkeypatch, "_close_orbit", jgraphs.perms)
+        aut = automorphism_group(corpus[name])
+        assert closes == []
+        assert aut.contains(aut.generators[-1])
+        # the first contains closes each level once; elements closes none again
+        elements = set(aut.elements())
+        assert len(closes) == len(aut.base)
+        assert elements == set(group_from_generators(aut.generators, aut.degree).elements())
+        assert_seeded_chain_matches_schreier_sims(corpus[name], None, random.Random(name))
+
+    def test_seeded_chain_of_e150_allocates_under_1_mb(self):
+        aut = automorphism_group(Graph(150, [0] * 150))
+        tracemalloc.start()
+        try:
+            group = PermGroup(aut.generators, 150, base=aut.base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.order == math.factorial(150)
+        assert peak < 1 << 20, f"{peak / 2**20:.2f} MB traced"
 
 
 class TestOneWalk:

@@ -64,6 +64,10 @@ CASES = [
      "malformed cycle text '(a b)'"),
     ("compose degrees", lambda: compose(Perm.identity(2), Perm.identity(3)), ValueError,
      "degree mismatch: 2 vs 3"),
+    ("Perm bool image", lambda: Perm([True, False]), ValueError,
+     "not a permutation of 0..1: (True, False)"),
+    ("PermGroup bool base", lambda: PermGroup([Perm([1, 0])], 2, base=(True,)), ValueError,
+     "base must list distinct points of 0..1: (True,)"),
     ("PermGroup tuple generator", lambda: PermGroup([(1, 0)], 2), ValueError,
      "generators must be Perm instances"),
     ("PermGroup.contains degree", lambda: PermGroup([], 2).contains(Perm.identity(3)), ValueError,
