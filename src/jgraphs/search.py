@@ -12,8 +12,10 @@ order is not, so it stays a presentation rule only.
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
 vertex order.  The first path takes the smallest candidate at every level
-and keeps each level's refinement trace: the count signatures of its
-non-singleton cell tests, which an isomorphism preserves.
+and keeps each level's refinement trace: one positioned count signature
+for each non-singleton cell that a splitter reaches (holds a neighbour
+of), which an isomorphism preserves.  A branch queues only the vertex it
+individualizes: the rest of that cell cannot split an equitable partition.
 
 One walker, ``_leaves``, yields the leaves of a search tree depth first.
 Its pruning rules are each sound for any search: a branch whose
@@ -115,24 +117,39 @@ def _refine(adj, cells, queue, trace=None, expect=None):
     """Refine an ordered partition (cell masks) to its coarsest equitable
     refinement; the queue holds pending splitter masks.
 
-    Testing a non-singleton cell against a splitter gives a signature, its
-    sorted (count, fragment size) pairs.  Signatures are appended to
-    ``trace``, or checked against ``expect``: False at the first difference
-    or when the lengths differ.
+    A splitter tests only the non-singleton cells that hold a neighbour of
+    it: any other cell has count 0 for every vertex, so it cannot split.
+    Testing cell k gives a signature ``(k, pairs)``, the cell's position
+    and its sorted (count, fragment size) pairs.  Signatures are appended
+    to ``trace``, or checked against ``expect``: False at the first
+    difference or when the lengths differ.  The positions keep equal
+    traces to equal cell shapes although untested cells leave no entry.
     """
     keep = trace is not None or expect is not None
     pos = 0
-    while queue:
+    active = 0
+    for cell in cells:
+        if cell & (cell - 1):
+            active |= cell
+    while queue and active:
         splitter = queue.popleft()
+        hit = 0
+        m = splitter
+        while m:
+            low = m & -m
+            hit |= adj[low.bit_length() - 1]
+            m ^= low
+        hit &= active
         k = 0
-        while k < len(cells):
+        while hit:
             cell = cells[k]
-            if cell & (cell - 1):
+            if cell & hit:
+                hit &= ~cell
                 groups = _split_counts(adj, cell, splitter)
                 if keep or len(groups) > 1:
                     counts = sorted(groups)
                     if keep:
-                        sig = [(c, groups[c].bit_count()) for c in counts]
+                        sig = (k, [(c, groups[c].bit_count()) for c in counts])
                         if expect is None:
                             trace.append(sig)
                         elif pos < len(expect) and expect[pos] == sig:
@@ -143,6 +160,9 @@ def _refine(adj, cells, queue, trace=None, expect=None):
                         frags = [groups[c] for c in counts]
                         cells[k:k + 1] = frags
                         queue.extend(frags)
+                        for frag in frags:
+                            if not frag & (frag - 1):
+                                active ^= frag
                         k += len(frags)
                         continue
             k += 1
@@ -169,10 +189,12 @@ def _individualize(cells, k, v):
     return frags
 
 
-def _maps_edges(adj_a, adj_b, images):
-    for v, row in enumerate(adj_a):
+def _maps_edges(adj_a, adj_b, images, points=None):
+    """True when images maps the row of every vertex in ``points`` (a
+    mask; None means all) onto the row of its image."""
+    for v in range(len(adj_a)) if points is None else bits(points):
         mapped = 0
-        for w in bits(row):
+        for w in bits(adj_a[v]):
             mapped |= 1 << images[w]
         if mapped != adj_b[images[v]]:
             return False
@@ -235,14 +257,14 @@ def _leaves(adj, cells, path=None, known=(), deadline=None):
         depth = len(stack)
         if record:
             trace = []
-            _refine(adj, branch, deque(frags), trace)
+            _refine(adj, branch, deque(frags[:1]), trace)
             path.append((k, u, trace))
             k = _target_cell(branch)
             record = k >= 0
         elif path is None:
-            _refine(adj, branch, deque(frags))
+            _refine(adj, branch, deque(frags[:1]))
             k = _target_cell(branch)
-        elif _refine(adj, branch, deque(frags), expect=path[depth - 1][2]):
+        elif _refine(adj, branch, deque(frags[:1]), expect=path[depth - 1][2]):
             k = path[depth][0] if depth < len(path) else -1
         else:
             continue
@@ -321,10 +343,15 @@ def color_refinement(g: Graph, initial: ColoredPartition | None = None) -> Color
 
 
 def check_automorphism(g: Graph, p: Perm) -> bool:
-    """True exactly when p maps edges to edges and non-edges to non-edges."""
+    """True exactly when p maps edges to edges and non-edges to non-edges.
+
+    Only the rows of the points p moves are read: adjacency is symmetric,
+    so an edge with a moved end is checked from that end, and an edge
+    between two fixed points is its own image.
+    """
     if p.degree != g.n:
         raise ValueError(f"permutation degree {p.degree} != vertex count {g.n}")
-    return _maps_edges(g.adj, g.adj, p.images)
+    return _maps_edges(g.adj, g.adj, p.images, _support(p))
 
 
 def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
@@ -362,8 +389,10 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
-    # the first signature, the uniform cell against itself, is the degree
-    # histogram, so it tells vertex counts, edge counts and degrees apart
+    # an edgeless graph's uniform cell meets no splitter's neighbourhood,
+    # so its trace is empty whatever its size: compare vertex counts here
+    if g.n != h.n:
+        return None
     cells_g = [(1 << g.n) - 1]
     trace = []
     _refine(g.adj, cells_g, deque(cells_g), trace)

@@ -312,7 +312,7 @@ def test_formats_and_schema(tmp_path, capsys, monkeypatch):
     assert code == 0
     code, doc = run_json("verify", "--n", "5..6", "--m", "2..3")
     assert code == 0 and len(doc) == 3
-    code, doc = run_json("verify", "--n", "8", "--m", "4", "--time-limit", "0.01")
+    code, doc = run_json("verify", "--n", "12", "--m", "6", "--time-limit", "0.01")
     assert code == 3 and doc[0]["status"] == "timeout"
     code, _ = run_json("dist", "johnson", "6", "3")
     assert code == 0

@@ -619,7 +619,7 @@ class TestVerifyReport:
 class TestVerifyDeadline:
     def test_short_deadline_raises(self):
         with pytest.raises(TimeLimitExceeded):
-            verify_johnson_aut(9, 4, deadline=time.monotonic() + 0.01)
+            verify_johnson_aut(12, 6, deadline=time.monotonic() + 0.01)
 
     @pytest.mark.parametrize("all_sources", [False, True])
     def test_deadline_none_changes_nothing(self, all_sources):

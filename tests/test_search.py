@@ -3,7 +3,8 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations
+from collections import deque
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from jgraphs import (
 )
 import jgraphs.perms
 import jgraphs.search
+from jgraphs.graphs import bits
 from jgraphs.perms import BRUTE_FORCE_LIMIT
 
 from conftest import build_corpus
@@ -47,6 +49,13 @@ def random_graph(rng: random.Random, n: int, density: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
     ]
     return Graph.from_edges(n, edges)
+
+
+def draw_graph(data, n: int) -> Graph:
+    """A hypothesis-drawn graph on n vertices, one coin per vertex pair."""
+    pairs = list(combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
 
 
 def shrikhande() -> Graph:
@@ -211,6 +220,99 @@ class TestColorRefinement:
         init = ColoredPartition.from_cells(4, [[0], [1, 2, 3]])
         refined = color_refinement(g, init)
         assert refined.cells[0] == (0,)
+
+
+class TestRefinementTrace:
+    """Trace pruning compares refinement traces: relabelling keeps a
+    trace, and equal traces give equal cell shapes."""
+
+    @staticmethod
+    def cells_of(colour, images=None):
+        """Cell masks of a colouring in colour-id order, each vertex v
+        placed at images[v]."""
+        cells = {}
+        for v, c in enumerate(colour):
+            w = v if images is None else images[v]
+            cells[c] = cells.get(c, 0) | 1 << w
+        return [cells[c] for c in sorted(cells)]
+
+    @staticmethod
+    def refine(g, cells, expect=None):
+        """Refine cells in place; the trace, or the verdict against expect."""
+        trace = [] if expect is None else None
+        verdict = jgraphs.search._refine(g.adj, cells, deque(cells), trace, expect)
+        return trace if expect is None else verdict
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relabelling_keeps_the_trace(self, data):
+        n = data.draw(st.integers(1, 8))
+        g = draw_graph(data, n)
+        colour = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        images = data.draw(st.permutations(range(n)))
+        cells = self.cells_of(colour)
+        trace = self.refine(g, cells)
+        moved = self.cells_of(colour, images)
+        assert self.refine(relabel(g, Perm(images)), moved) == trace
+        assert moved == [sum(1 << images[v] for v in bits(cell)) for cell in cells]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equal_traces_give_equal_cell_shapes(self, data):
+        n = data.draw(st.integers(1, 8))
+        g = draw_graph(data, n)
+        colour = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        cells = self.cells_of(colour)
+        trace = self.refine(g, cells)
+        # h: any graph, or a relabelled g with up to two edges toggled, so
+        # that its trace often agrees with g's for a while
+        images = list(range(n))
+        if data.draw(st.booleans()):
+            h = draw_graph(data, n)
+        else:
+            edges = set(g.edges())
+            pairs = list(combinations(range(n), 2))
+            if pairs:
+                edges ^= set(data.draw(st.lists(st.sampled_from(pairs), max_size=2)))
+            images = data.draw(st.permutations(range(n)))
+            h = relabel(Graph.from_edges(n, sorted(edges)), Perm(images))
+        cells_h = self.cells_of(colour, images)
+        if self.refine(h, cells_h, expect=trace):
+            assert [c.bit_count() for c in cells_h] == [c.bit_count() for c in cells]
+
+    def test_positions_tell_apart_equal_signatures_of_other_cells(self):
+        # cells {0, 2}, {1}, {3, 4}: the splitter {1} splits the first cell
+        # of g and the last cell of h with one signature; only the position
+        # of the tested cell tells the traces apart
+        g, h = Graph.from_edges(5, [(0, 1)]), Graph.from_edges(5, [(1, 3)])
+        colour = [0, 1, 0, 2, 2]
+        trace_g = self.refine(g, self.cells_of(colour))
+        trace_h = self.refine(h, self.cells_of(colour))
+        assert [pairs for _, pairs in trace_g] == [pairs for _, pairs in trace_h]
+        assert trace_g != trace_h
+        assert not self.refine(h, self.cells_of(colour), expect=trace_g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rest_of_an_individualized_cell_splits_nothing(self, data):
+        # the search queues only {u} after individualizing u: in an
+        # equitable partition the rest of u's cell cannot split anything
+        n = data.draw(st.integers(2, 9))
+        g = draw_graph(data, n)
+        cells = self.cells_of(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        self.refine(g, cells)
+        targets = [k for k, cell in enumerate(cells) if cell & (cell - 1)]
+        if not targets:
+            return
+        k = data.draw(st.sampled_from(targets))
+        u = data.draw(st.sampled_from(list(bits(cells[k]))))
+        outcomes = []
+        for queued in (2, 1):
+            branch = list(cells)
+            frags = jgraphs.search._individualize(branch, k, u)
+            jgraphs.search._refine(g.adj, branch, deque(frags[:queued]))
+            outcomes.append(branch)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestAutomorphismGroup:
@@ -488,6 +590,37 @@ class TestCheckers:
         assert verify_isomorphism(g, h, Perm([1, 0, 2]))
         assert not verify_isomorphism(g, h, Perm.identity(3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_moved_rows_check_agrees_with_edge_sets(self, data):
+        # check_automorphism reads only the rows of moved points.  Three
+        # vertices with equal rows outside their class and any edges inside
+        # it give permutations that break an edge only between moved points
+        n = data.draw(st.integers(3, 9))
+        g = draw_graph(data, n)
+        trio = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        outside = [w for w in g.neighbors(trio[0]) if w not in trio]
+        edges = {e for e in g.edges() if not set(e) & set(trio)}
+        edges |= {(min(t, w), max(t, w)) for t in trio for w in outside}
+        inside = [tuple(sorted(e)) for e in combinations(trio, 2)]
+        edges |= {e for e in inside if data.draw(st.booleans())}
+        g = Graph.from_edges(n, sorted(edges))
+        perms = [Perm.identity(n)]
+        for order in permutations(trio):
+            images = list(range(n))
+            for t, image in zip(trio, order):
+                images[t] = image
+            perms.append(Perm(images))
+        for _ in range(4):
+            support = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True))
+            images = list(range(n))
+            for t, image in zip(support, data.draw(st.permutations(support))):
+                images[t] = image
+            perms.append(Perm(images))
+        perms.append(Perm(data.draw(st.permutations(range(n)))))
+        for p in perms:
+            assert check_automorphism(g, p) == maps_edge_set(g, g, p), p
+
 
 class TestFindIsomorphism:
     def test_petersen_complement_vs_johnson(self):
@@ -508,13 +641,20 @@ class TestFindIsomorphism:
 
     def test_non_isomorphic_same_degree_sequence(self):
         # C6 and two triangles: both 2-regular on 6 vertices.  The others
-        # differ in vertex count (E1, E2) or degrees (P4, K1,3), which the
+        # differ in vertex count (edgeless graphs, whose refinement traces
+        # are all empty, and E1 vs K2) or in degrees (P4, K1,3), which the
         # first refinement signature, the degree histogram, tells apart
         c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         tt = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         e1, e2 = Graph(1, [0]), Graph(2, [0, 0])
+        e5, e6 = Graph(5, [0] * 5), Graph(6, [0] * 6)
         p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        for g, h in [(c6, tt), (e1, e2), (e2, e1), (p4, complete_bipartite(1, 3))]:
+        pairs = [
+            (c6, tt), (e1, e2), (e2, e1), (e5, e6), (e6, e5),
+            (e1, complete_graph(2)), (complete_graph(2), e1),
+            (p4, complete_bipartite(1, 3)),
+        ]
+        for g, h in pairs:
             assert find_isomorphism(g, h) is None, (g, h)
 
     def test_different_sizes(self):
