@@ -41,6 +41,7 @@ from .graphs import (
 )
 from .johnson import (
     DEFAULT_SEED,
+    _valid_pair,
     distance_by_intersection,
     transitivity_profile,
     verify_johnson_aut,
@@ -206,7 +207,7 @@ def cmd_verify(args) -> int:
         (n, m)
         for n in _parse_range(args.n)
         for m in _parse_range(args.m)
-        if n >= 4 and 2 <= m and 2 * m <= n
+        if _valid_pair(n, m)
     ]
     if not pairs:
         raise ValueError(f"no valid (n, m) pairs in n={args.n} m={args.m}")

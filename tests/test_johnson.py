@@ -26,7 +26,6 @@ from jgraphs import (
     compose,
     distance_by_intersection,
     distance_partition,
-    distance_table,
     group_from_generators,
     induced_action,
     johnson_graph,
@@ -396,7 +395,7 @@ def pair_orbit_profile(g, group):
     on every class of ordered pairs at a fixed distance (None included).
     """
     gens = [p.images for p in group.generators]
-    table = distance_table(g)
+    table = [distance_partition(g, u).dist for u in range(g.n)]
     classes = {}
     for a in range(g.n):
         for b in range(g.n):
@@ -466,6 +465,7 @@ class TestTransitivityAgainstPairOrbits:
 EVEN_CHECKS = [
     "aut_order",
     "induced_action_injective",
+    "induced_maps_are_automorphisms",
     "complement_map_involution",
     "induced_subgroup_order",
     "complement_map_outside_induced_subgroup",
@@ -479,7 +479,7 @@ EVEN_CHECKS = [
     "edge_transitive",
     "distance_transitive",
 ]
-ODD_CHECKS = EVEN_CHECKS[:2] + EVEN_CHECKS[7:]  # no n = 2m block
+ODD_CHECKS = EVEN_CHECKS[:3] + EVEN_CHECKS[8:]  # no n = 2m block
 
 
 class TestVerifyReport:
@@ -716,6 +716,32 @@ class TestVerifyArgument:
             "complement_map_outside_induced_subgroup",
             "full_group_order_with_complement_map",
         )
+
+    @pytest.mark.parametrize("n,m", [(6, 3), (7, 3), (8, 4)])
+    def test_maps_conjugated_by_a_non_automorphism_fail(self, monkeypatch, capsys, n, m):
+        # conjugating every map by one fixed sigma keeps injectivity, the
+        # involution, commuting and order; only edge preservation is lost
+        g = johnson_graph(n, m)
+        sigma = Perm.from_cycles(g.n, (0, g.n - 1))
+        assert not check_automorphism(g, sigma)
+        real_action, real_complement = induced_action, complementation_map
+
+        def conjugate(p):
+            return compose(sigma, compose(p, sigma))
+
+        monkeypatch.setattr(
+            jgraphs.johnson, "induced_action", lambda theta, n, m: conjugate(real_action(theta, n, m))
+        )
+        monkeypatch.setattr(
+            jgraphs.johnson, "complementation_map", lambda m: conjugate(real_complement(m))
+        )
+        rep = verify_johnson_aut(n, m)
+        assert [c.name for c in rep.checks if not c.passed] == [
+            "induced_maps_are_automorphisms",
+            *(["full_group_order_with_complement_map"] if n == 2 * m else []),
+            "intersection_uniqueness_first_layer",
+        ]
+        self.assert_fails(capsys, n, m, "induced_maps_are_automorphisms")
 
     @pytest.mark.parametrize("n,m", [(6, 3), (7, 3)])
     def test_stabilizer_in_place_of_the_group_fails(self, monkeypatch, capsys, n, m):

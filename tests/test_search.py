@@ -306,11 +306,12 @@ class TestRefinementTrace:
             return
         k = data.draw(st.sampled_from(targets))
         u = data.draw(st.sampled_from(list(bits(cells[k]))))
+        low, rest = 1 << u, cells[k] ^ 1 << u
         outcomes = []
-        for queued in (2, 1):
+        for queued in ([low, rest], [low]):
             branch = list(cells)
-            frags = jgraphs.search._individualize(branch, k, u)
-            jgraphs.search._refine(g.adj, branch, deque(frags[:queued]))
+            branch[k:k + 1] = low, rest
+            jgraphs.search._refine(g.adj, branch, deque(queued))
             outcomes.append(branch)
         assert outcomes[0] == outcomes[1]
 
@@ -514,6 +515,24 @@ class TestOneWalk:
         automorphism_group(g)
         # the Perm that check_automorphism accepts is the group's generator
         assert len(perms) == len(checks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_walker_contract_on_small_graphs(self, data):
+        # after the first leaf the walk yields only leaves whose map from
+        # it is no automorphism, and every map it keeps is one, with trace
+        # pruning (a first path to fill) and without (the canonical walk)
+        n = data.draw(st.integers(1, 9))
+        g = draw_graph(data, n)
+        cells = [(1 << n) - 1]
+        jgraphs.search._refine(g.adj, cells, deque(cells))
+        for path in ([], None):
+            found = []
+            first, *rest = jgraphs.search._leaves(g, cells, path, found)
+            for leaf in rest:
+                assert not check_automorphism(g, Perm(jgraphs.search._leaf_map(first, leaf)))
+            assert all(check_automorphism(g, p) for p in found)
+        assert automorphism_group(g).order == len(brute_force_automorphisms(g))
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_no_leaf_wasted(self, monkeypatch, name):
