@@ -8,7 +8,8 @@ witness).  All JSON output conforms to schemas/report.schema.json.
 
 ``verify --time-limit`` gives each pair a ``time.monotonic()`` deadline,
 checked between search nodes and phases on any thread; past it, a pair
-becomes a ``timeout`` entry.
+becomes a ``timeout`` entry.  ``aut`` and ``iso`` take the same flag for
+their search and exit 3 with an error line past it.
 
 Exit codes are a stable contract: 0 success, 1 assertion failure,
 2 usage error, 3 resource limit (vertex cap or wall clock).
@@ -75,6 +76,22 @@ def _resolve_cap(args) -> int:
     if cap < 1:
         raise ValueError(f"vertex cap must be positive, got {cap}")
     return cap
+
+
+def _time_limit(args) -> float:
+    """The validated ``--time-limit`` in seconds; 0 means no limit."""
+    # no NaN, no infinity, no negative and nothing beyond the platform's longest wait
+    if not (math.isfinite(args.time_limit) and 0 <= args.time_limit <= threading.TIMEOUT_MAX):
+        raise ValueError(
+            f"--time-limit must be finite, from 0 to {threading.TIMEOUT_MAX:g} s, "
+            f"got {args.time_limit}"
+        )
+    return args.time_limit
+
+
+def _deadline(limit: float) -> float | None:
+    """A ``time.monotonic()`` deadline ``limit`` seconds from now; None for 0."""
+    return time.monotonic() + limit if limit else None
 
 
 def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
@@ -177,8 +194,9 @@ def cmd_gen(args) -> int:
 
 def cmd_aut(args) -> int:
     cap = _resolve_cap(args)
+    limit = _time_limit(args)
     g = _read_graph(args.graph, cap)
-    aut = automorphism_group(g, cap=cap)
+    aut = automorphism_group(g, cap=cap, deadline=_deadline(limit))
     profile = transitivity_profile(g, aut)
     report = {
         "status": "ok",
@@ -197,12 +215,7 @@ def cmd_aut(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
-    # no NaN, no infinity, no negative and nothing beyond the platform's longest wait
-    if not (math.isfinite(args.time_limit) and 0 <= args.time_limit <= threading.TIMEOUT_MAX):
-        raise ValueError(
-            f"--time-limit must be finite, from 0 to {threading.TIMEOUT_MAX:g} s, "
-            f"got {args.time_limit}"
-        )
+    limit = _time_limit(args)
     pairs = [
         (n, m)
         for n in _parse_range(args.n)
@@ -224,10 +237,10 @@ def cmd_verify(args) -> int:
     entries = []
     timed_out = failed = False
     for n, m in sorted(pairs):
-        deadline = time.monotonic() + args.time_limit if args.time_limit else None
         try:
             report = verify_johnson_aut(
-                n, m, cap=cap, seed=args.seed, all_sources=args.all_sources, deadline=deadline
+                n, m, cap=cap, seed=args.seed, all_sources=args.all_sources,
+                deadline=_deadline(limit),
             )
         except TimeLimitExceeded:
             timed_out = True
@@ -236,7 +249,7 @@ def cmd_verify(args) -> int:
                 "tool_version": __version__,
                 "n": n,
                 "m": m,
-                "time_limit_seconds": args.time_limit,
+                "time_limit_seconds": limit,
             })
             continue
         failed = failed or not report.passed
@@ -303,9 +316,10 @@ def cmd_dist(args) -> int:
 
 def cmd_iso(args) -> int:
     cap = _resolve_cap(args)
+    limit = _time_limit(args)
     g = _read_graph(args.g, cap)
     h = _read_graph(args.h, cap)
-    p = find_isomorphism(g, h, cap=cap)
+    p = find_isomorphism(g, h, cap=cap, deadline=_deadline(limit))
     report = {
         "status": "ok",
         "tool_version": __version__,
@@ -317,7 +331,8 @@ def cmd_iso(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, *, seed=False, time_limit=False) -> None:
+def _add_common(parser, *, seed=False, time_limit=None) -> None:
+    """Add the shared flags; ``time_limit`` names what the limit covers."""
     parser.add_argument("--cap", type=int, default=None,
                         help=f"vertex cap (default: ${CAP_ENV_VAR} or {DEFAULT_VERTEX_CAP})")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -326,7 +341,7 @@ def _add_common(parser, *, seed=False, time_limit=False) -> None:
                             help="seed recorded in the report; no check draws from it")
     if time_limit:
         parser.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
-                            help="wall-clock seconds per (n, m) pair, 0 disables")
+                            help=f"wall-clock seconds {time_limit}, 0 disables")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -346,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_aut = sub.add_parser("aut", help="exact automorphism group of a graph6 input")
     p_aut.add_argument("graph", help="graph6 file path, or - for stdin")
-    _add_common(p_aut, seed=True)
+    _add_common(p_aut, seed=True, time_limit="for the search")
     p_aut.set_defaults(func=cmd_aut)
 
     p_verify = sub.add_parser("verify", help="run the structure verification over (n, m) ranges")
@@ -354,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", required=True, help="subset sizes, e.g. 3 or 2..4")
     p_verify.add_argument("--all-sources", action="store_true",
                           help="sweep every source vertex in the layer checks")
-    _add_common(p_verify, seed=True, time_limit=True)
+    _add_common(p_verify, seed=True, time_limit="per (n, m) pair")
     p_verify.set_defaults(func=cmd_verify)
 
     p_dist = sub.add_parser("dist", help="distance layers from a source vertex")
@@ -371,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_iso = sub.add_parser("iso", help="isomorphism test with a verified witness")
     p_iso.add_argument("g", help="first graph6 file path, or - for stdin")
     p_iso.add_argument("h", help="second graph6 file path")
-    _add_common(p_iso)
+    _add_common(p_iso, time_limit="for the search")
     p_iso.set_defaults(func=cmd_iso)
 
     return parser
@@ -386,7 +401,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except VertexCapExceeded as exc:
+    except (VertexCapExceeded, TimeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -200,8 +200,11 @@ class PermGroup:
 
     ``order`` is an exact Python int, the product over levels of the orbit
     size of the level's point under the generators of that level and deeper
-    ones.  ``orbits()`` closes each orbit of the group once.  ``contains``
-    and ``elements`` build the coset representatives once, on first use.
+    ones.  Those orbits come from one union-find over the points, grown
+    deepest level first by every point each generator moves, so the order
+    costs one pass over the generators.  ``orbits()`` closes each orbit of
+    the group once.  ``contains`` and ``elements`` build the coset
+    representatives once, on first use.
     """
 
     degree: int
@@ -223,14 +226,10 @@ class PermGroup:
             levels = _schreier_sims(generators, identity)
         else:
             levels = _seeded_chain(generators, tuple(base), identity)
-        order, gens = 1, []
-        for level in reversed(levels):
-            gens += level.gens
-            order *= _orbit_mask(gens, 1 << level.point).bit_count()
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "base", tuple(level.point for level in levels))
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", _chain_order(levels, degree))
         object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_identity", identity)
 
@@ -291,6 +290,36 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+def _chain_order(levels, degree):
+    """The product over levels of the orbit size of the level's point
+    under the generators of that level and deeper ones.
+
+    The orbits are the components of a union-find over the points: going
+    deepest level first, each generator unites every point it moves with
+    its image, so the whole chain costs one pass over its generators.
+    """
+    parent = list(range(degree))
+    size = [1] * degree
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    order = 1
+    for level in reversed(levels):
+        for g in level.gens:
+            for p in [p for p, q in enumerate(g) if p != q]:
+                a, b = root(p), root(g[p])
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+        order *= size[root(level.point)]
+    return order
 
 
 def _schreier_sims(generators, identity):

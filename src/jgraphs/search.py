@@ -25,7 +25,12 @@ search: a branch whose refinement trace differs from the first path's is
 dropped at the first difference, a candidate in the orbit of an explored
 sibling under the known automorphisms that fix the branch's prefix is
 skipped, and after an automorphism the walk jumps back to where its two
-paths part.  The first path's vertices are a base for the automorphism
+paths part.  A target cell of pairwise twins (vertices whose rows agree
+outside the pair) is one orbit of its node's stabilizer: the walk leaves
+such a node after its first child, and on the first path it hands over
+the transposition of the cell's two smallest members, so edgeless,
+complete and complete bipartite graphs cost one descent, not one per
+generator.  The first path's vertices are a base for the automorphism
 group, and the generators found are strong for it, so the group's
 stabilizer chain is seeded with no Schreier-Sims pass.  An isomorphism
 is the first leaf of h's tree, walked along g's first path, onto which
@@ -183,10 +188,13 @@ def _target_cell(cells):
 
 def _maps_edges(adj_a, adj_b, images, points):
     """True when images maps the row of every vertex in the mask
-    ``points`` onto the row of its image."""
+    ``points`` onto the row of its image.  ``points`` holds every point
+    that images moves, so only a row's bits inside it are mapped."""
+    fixed = ~points
     for v in bits(points):
-        mapped = 0
-        for w in bits(adj_a[v]):
+        row = adj_a[v]
+        mapped = row & fixed
+        for w in bits(row & points):
             mapped |= 1 << images[w]
         if mapped != adj_b[images[v]]:
             return False
@@ -200,6 +208,20 @@ def _support(perm):
         if p != q:
             mask |= 1 << p
     return mask
+
+
+def _is_twin_cell(adj, cell):
+    """True when the members of ``cell`` are pairwise twins: each row
+    equals the first member's outside the cell and, inside it, holds all
+    of the other members or none.  Then every transposition of two
+    members is an automorphism that fixes all other vertices."""
+    row = adj[(cell & -cell).bit_length() - 1]
+    outside = row & ~cell
+    clique = cell if row & cell else 0
+    for v in bits(cell):
+        if adj[v] != outside | (clique & ~(1 << v)):
+            return False
+    return True
 
 
 def _leaves(g, cells, path=None, found=None, deadline=None):
@@ -225,6 +247,16 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
     level first, so the accepted maps are strong for the base of
     first-path vertices.  Each node checks ``deadline`` before it refines
     its branch.
+
+    A node whose target cell is a twin cell (``_is_twin_cell``) is popped
+    as soon as the walk returns to it from its first child: the
+    transpositions of twins fix its prefix and map that child's subtree
+    onto every sibling's.  On the first path the walk first appends the
+    transposition of the cell's two smallest members, once
+    check_automorphism accepts it.  Individualizing a twin splits no
+    other cell and leaves the rest of its cell as the next target, so
+    these transpositions generate the cell's symmetric group and stay
+    strong for the base.
     """
     adj = g.adj
     if found is None:
@@ -234,13 +266,26 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
         yield cells
         return
     first = None
+    trunk = []  # the frames of the first path, once the first leaf is found
     support = [_support(a) for a in found]
     # frames: [cells, prefix mask, target position, candidates left,
     #          explored candidates, current candidate bit]
     stack = [[cells, 0, k, cells[k], 0, 0]]
     while stack:
         frame = stack[-1]
-        cells, prefix, k, left, explored, _ = frame
+        cells, prefix, k, left, explored, current = frame
+        if current and explored == current and _is_twin_cell(adj, cells[k]):
+            # back from the first child of a twin node
+            if len(stack) > len(trunk) or trunk[len(stack) - 1] is not frame:
+                stack.pop()
+                continue
+            second = (cells[k] ^ current) & -(cells[k] ^ current)
+            p = Perm.from_cycles(g.n, (current.bit_length() - 1, second.bit_length() - 1))
+            if check_automorphism(g, p):
+                found.append(p)
+                support.append(current | second)
+                stack.pop()
+                continue
         if explored and left and support:
             fixers = [a.images for a, moved in zip(found, support) if not moved & prefix]
             if fixers:
@@ -270,7 +315,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
             stack.append([branch, prefix | low, k, branch[k], 0, 0])
             continue
         if first is None:
-            first = branch
+            first, trunk = branch, stack[:]
             yield branch
         else:
             p = Perm(_leaf_map(first, branch))
@@ -367,11 +412,12 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     return PermGroup(found, g.n, base=tuple(v for _, v, _ in path))
 
 
-def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
+def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=None):
     """An isomorphism from g onto h as a Perm, or None.
 
     The witness is accepted by verify_isomorphism, edge for edge, where the
-    search finds it.
+    search finds it.  ``deadline`` is checked at every search node as in
+    automorphism_group.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -386,8 +432,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None):
     if not _refine(h.adj, cells, deque(cells), expect=trace):
         return None
     path = []
-    leaf = next(_leaves(g, cells_g, path))
-    for other in _leaves(h, cells, path):
+    leaf = next(_leaves(g, cells_g, path, deadline=deadline))
+    for other in _leaves(h, cells, path, deadline=deadline):
         p = Perm(_leaf_map(leaf, other))
         if verify_isomorphism(g, h, p):
             return p
@@ -419,7 +465,7 @@ class CanonicalForm:
         return f"CanonicalForm(n={self.n}, edges={len(self.edges)})"
 
 
-def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
+def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> CanonicalForm:
     """Deterministic canonical labelling via the pruned leaf minimum.
 
     All leaves of the individualization-refinement tree are compared by
@@ -427,7 +473,8 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     walk prunes by the automorphisms it finds from its first leaf and by
     the map between any two leaves with equal rows; pruned subtrees only
     repeat leaf values already seen, so the minimum is unaffected and
-    isomorphic graphs agree on it.
+    isomorphic graphs agree on it.  ``deadline`` is checked at every
+    search node as in automorphism_group.
     """
     _check_cap(g.n, cap)
     n = g.n
@@ -437,7 +484,7 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     cells = [(1 << n) - 1]
     _refine(adj, cells, deque(cells))
     best_key = best_leaf = None
-    for leaf in _leaves(g, cells, None, known):
+    for leaf in _leaves(g, cells, None, known, deadline):
         relabel = _leaf_map(leaf, positions)
         rows = [0] * n
         for v in range(n):

@@ -466,6 +466,53 @@ class TestIso:
         assert verify_isomorphism(lk6, g, p)
 
 
+class TestSearchTimeLimit:
+    """``aut`` and ``iso`` take ``--time-limit`` with verify's default and
+    bounds: exit 2 on an unusable value, exit 3 with an error line when
+    the search runs past it, and 0 disables it."""
+
+    COMMANDS = {"aut": ["aut", "{g}"], "iso": ["iso", "{g}", "{g}"]}
+
+    @pytest.fixture(scope="class")
+    def j147(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("j147") / "j147.g6"
+        path.write_text(write_graph6(johnson_graph(14, 7)) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_limit_stops_the_search(self, capsys, j147, command):
+        # unlimited, the J(14,7) search alone takes about 4 s (iso) and
+        # 30 s (aut); exit 3 shows that the deadline stopped it
+        start = time.monotonic()
+        code, out, err = run_cli(
+            capsys, *(a.format(g=j147) for a in self.COMMANDS[command]), "--time-limit", "0.2"
+        )
+        assert time.monotonic() - start < 10
+        assert code == 3 and out == ""
+        assert err == "error: time limit exceeded\n"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("limit", ["inf", "nan", "1e300", "-5"])
+    def test_unusable_limit_is_usage_error(self, capsys, tmp_path, command, limit):
+        path = tmp_path / "j52.g6"
+        path.write_text(write_graph6(johnson_graph(5, 2)))
+        argv = [a.format(g=path) for a in self.COMMANDS[command]] + [f"--time-limit={limit}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --time-limit must be finite")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_default_and_zero(self, capsys, validator, tmp_path, command):
+        from jgraphs.cli import DEFAULT_TIME_LIMIT, _build_parser
+
+        path = tmp_path / "j52.g6"
+        path.write_text(write_graph6(johnson_graph(5, 2)))
+        argv = [a.format(g=path) for a in self.COMMANDS[command]]
+        assert _build_parser().parse_args(argv).time_limit == DEFAULT_TIME_LIMIT
+        code, doc, _ = run_json(capsys, validator, *argv, "--time-limit", "0")
+        assert code == 0 and doc["status"] == "ok"
+
+
 class TestTopLevel:
     def test_no_command_usage_error(self, capsys):
         assert main([]) == 2

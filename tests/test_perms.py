@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,6 +223,36 @@ class TestSeededChain:
     def test_malformed_base_rejected(self, base):
         with pytest.raises(ValueError):
             PermGroup(self.SYM4, 4, base=base)
+
+
+class TestChainOrder:
+    """The order comes from a union-find over the points, deepest level
+    first; it must equal the number of elements the chain enumerates."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_element_count(self, seed):
+        rng = random.Random(seed)
+        degree = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            images = list(range(degree))
+            # a random shuffle of a random subset: small supports give
+            # intransitive groups with several levels and orbits
+            points = rng.sample(range(degree), rng.randint(0, degree))
+            moved = points[:]
+            rng.shuffle(moved)
+            for p, q in zip(points, moved):
+                images[p] = q
+            gens.append(Perm(images))
+        unseeded = group_from_generators(gens, degree)
+        assert unseeded.order == len(list(unseeded.elements()))
+        strong = [Perm(g) for level in unseeded._levels for g in level.gens]
+        seeded = PermGroup(strong, degree, base=unseeded.base)
+        assert seeded.order == len(list(seeded.elements())) == unseeded.order
+
+    def test_consecutive_transpositions_of_degree_600(self):
+        gens = [Perm.from_cycles(600, (i, i + 1)) for i in range(599)]
+        assert PermGroup(gens, 600, base=range(599)).order == math.factorial(600)
 
 
 class TestBruteForce:

@@ -359,18 +359,29 @@ class TestAutomorphismGroup:
             assert search(None)
 
     def test_past_deadline_stops_the_search(self):
-        with pytest.raises(TimeLimitExceeded):
-            automorphism_group(johnson_graph(8, 4), deadline=time.monotonic())
+        g = johnson_graph(8, 4)
+        for search in (
+            lambda deadline: automorphism_group(g, deadline=deadline),
+            lambda deadline: canonical_form(g, deadline=deadline),
+            lambda deadline: find_isomorphism(g, g, deadline=deadline),
+        ):
+            with pytest.raises(TimeLimitExceeded):
+                search(time.monotonic())
         # not a usage error: the CLI maps ValueError to exit 2
         assert not issubclass(TimeLimitExceeded, ValueError)
 
     def test_deadline_none_or_unreached_changes_nothing(self):
         for name, g in build_corpus().items():
             plain = automorphism_group(g)
+            form = canonical_form(g)
+            witness = find_isomorphism(g, g)
             for deadline in (None, time.monotonic() + 3600):
                 aut = automorphism_group(g, deadline=deadline)
                 assert aut.generators == plain.generators, name
                 assert aut.base == plain.base and aut.order == plain.order, name
+                again = canonical_form(g, deadline=deadline)
+                assert again.ordering == form.ordering and again.edges == form.edges, name
+                assert find_isomorphism(g, g, deadline=deadline) == witness, name
 
 
 def assert_seeded_chain_matches_schreier_sims(g, colors, rng):
@@ -546,6 +557,80 @@ class TestOneWalk:
         for i, p in enumerate(aut.generators):
             b = next(v for v in aut.base if p[v] != v)
             assert p[b] not in group_from_generators(aut.generators[:i], g.n).orbit(b)
+
+
+def twin_blow_up(base: Graph, sizes, cliques) -> Graph:
+    """Replace vertex v of base by sizes[v] twins, joined to each other
+    when cliques[v] holds and to every twin of each neighbour of v."""
+    start = [sum(sizes[:v]) for v in range(base.n)]
+    members = [range(start[v], start[v] + sizes[v]) for v in range(base.n)]
+    edges = [(a, b) for u, v in base.edges() for a in members[u] for b in members[v]]
+    edges += [e for v in range(base.n) if cliques[v] for e in combinations(members[v], 2)]
+    return Graph.from_edges(sum(sizes), edges)
+
+
+class TestTwinCells:
+    """A target cell of pairwise twins costs the walk one descent: the
+    first path hands over the transpositions of its consecutive members
+    and every twin node is left after its first child."""
+
+    # (graph, order, generators: one transposition per point but the
+    # smallest of each orbit)
+    GRAPHS = {
+        "E150": (lambda: Graph(150, [0] * 150), math.factorial(150), 149),
+        "K150": (lambda: complete_graph(150), math.factorial(150), 149),
+        "K60,90": (
+            lambda: complete_bipartite(60, 90), math.factorial(60) * math.factorial(90), 148
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_linear_walk(self, monkeypatch, name):
+        make, order, generators = self.GRAPHS[name]
+        g = make()
+        refines = count_calls(monkeypatch, "_refine")
+        aut = automorphism_group(g)
+        assert len(refines) <= g.n
+        assert aut.order == order and len(aut.generators) == generators
+        assert all(len(p.cycle_string().split()) == 2 for p in aut.generators)
+        refines.clear()
+        canonical_form(g)
+        assert len(refines) <= g.n
+
+    def test_twin_cell_rule(self):
+        # the path 0-1-2 blown up to {0, 1} (a clique), {2} and {3, 4}
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        adj = twin_blow_up(path, [2, 1, 2], [True, False, False]).adj
+        twin_cell = jgraphs.search._is_twin_cell
+        assert twin_cell(adj, 0b11) and twin_cell(adj, 0b11000)
+        # equal rows outside the cell, but 0 and 1 hold only each other
+        # inside it; then rows that differ outside the cell
+        assert not twin_cell(adj, 0b1011) and not twin_cell(adj, 0b11011)
+        assert not twin_cell(adj, 0b101)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_twin_blow_ups(self, data):
+        nx = pytest.importorskip("networkx")
+        n = data.draw(st.integers(1, 4))
+        base = draw_graph(data, n)
+        sizes = []
+        for v in range(n):
+            sizes.append(data.draw(st.integers(1, min(3, 9 - sum(sizes) - (n - 1 - v)))))
+        cliques = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        g = twin_blow_up(base, sizes, cliques)
+        aut = automorphism_group(g)
+        assert aut.order == len(brute_force_automorphisms(g))
+        assert all(maps_edge_set(g, g, p) for p in aut.generators)
+        form = canonical_form(g)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        for _ in range(3):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = relabel(g, Perm(images))
+            assert (canonical_form(h) == form) == nx.is_isomorphic(
+                networkx_graph(g), networkx_graph(h)
+            )
 
 
 def maps_edge_set(g: Graph, h: Graph, p: Perm) -> bool:
