@@ -33,6 +33,7 @@ from .graphs import (
     TimeLimitExceeded,
     VertexCapExceeded,
     _check_cap,
+    _check_deadline,
     complete_bipartite,
     complete_graph,
     distance_partition,
@@ -196,7 +197,9 @@ def cmd_aut(args) -> int:
     cap = _resolve_cap(args)
     limit = _time_limit(args)
     g = _read_graph(args.graph, cap)
-    aut = automorphism_group(g, cap=cap, deadline=_deadline(limit))
+    deadline = _deadline(limit)
+    aut = automorphism_group(g, cap=cap, deadline=deadline)
+    _check_deadline(deadline)
     profile = transitivity_profile(g, aut)
     report = {
         "status": "ok",

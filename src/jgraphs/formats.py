@@ -3,16 +3,26 @@
 graph6 is the compact ASCII encoding used by nauty and friends.  We
 support reading and writing; DOT and edge lists are write-only, meant
 for handing graphs to Graphviz or a spreadsheet.
+
+A graph6 body is the upper triangle of the adjacency matrix, column by
+column, written as big-endian base64 whose 64 digits are shifted to
+chr(63)..chr(126).  Both directions go through one integer and
+``binascii``, so the codec costs time linear in the body plus one step
+per edge.
 """
 
 from __future__ import annotations
 
+import binascii
 import re
 
 from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 _NOT_GRAPH6 = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 # graph6 size encoding switches representation at these bounds
 _SMALL_N_MAX = 62
@@ -27,28 +37,14 @@ def _encode_size(n: int) -> str:
     raise ValueError(f"graph6 encoding for n > {_MEDIUM_N_MAX} not supported (n={n})")
 
 
-def _upper_triangle_bits(g: Graph) -> list[int]:
-    # column-by-column: (0,1), (0,2), (1,2), (0,3), ...
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    return bits
-
-
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no header, no trailing newline)."""
-    out = [_encode_size(g.n)]
-    bits = _upper_triangle_bits(g)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        word = 0
-        for b in bits[k : k + 6]:
-            word = (word << 1) | b
-        out.append(chr(word + 63))
-    return "".join(out)
+    # column j holds rows 0..j-1, row 0 first: the low j bits of adj[j], reversed
+    upper = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    width = -(-len(upper) // 24) * 3  # whole base64 groups of 3 bytes
+    word = int("0" + upper, 2) << (8 * width - len(upper))
+    body = binascii.b2a_base64(word.to_bytes(width, "big"), newline=False)
+    return _encode_size(g.n) + body[: (len(upper) + 5) // 6].translate(_TO_GRAPH6).decode()
 
 
 def _graph6_size(text: str) -> tuple[int, str]:
@@ -95,22 +91,21 @@ def parse_graph6(text: str) -> Graph:
     if len(body) != expected_len:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {expected_len} for n={n}")
 
-    bits = []
-    for ch in body:
-        word = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            bits.append((word >> shift) & 1)
-    if any(bits[nbits:]):
+    body += "?" * (-len(body) % 4)  # "?" is the zero digit
+    word = int.from_bytes(binascii.a2b_base64(body.encode().translate(_FROM_GRAPH6)), "big")
+    upper = format(word, f"0{6 * len(body)}b")
+    if "1" in upper[nbits:]:
         raise ValueError("nonzero padding bits in graph6 body")
 
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        column = upper[j * (j - 1) // 2 : j * (j + 1) // 2]
+        adj[j] |= int(column[::-1], 2)
+        bit = 1 << j
+        i = column.find("1")
+        while i >= 0:
+            adj[i] |= bit
+            i = column.find("1", i + 1)
     return Graph(n, tuple(adj))
 
 

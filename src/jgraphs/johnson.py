@@ -349,12 +349,18 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
     vertex = len(aut.orbit(0)) == g.n
     edges = g.edges()
     if edges:
+        # a generator that fixes both ends of an edge fixes the edge
+        movers = [[] for _ in range(g.n)]
+        for gen in gens:
+            for v, w in enumerate(gen):
+                if v != w:
+                    movers[v].append(gen)
         edge_pairs = set(edges)
         seen = {edges[0]}
         queue = [edges[0]]
         while queue:
             a, b = queue.pop()
-            for gen in gens:
+            for gen in (*movers[a], *movers[b]):
                 c, d = gen[a], gen[b]
                 e = (c, d) if c < d else (d, c)
                 if e not in seen:

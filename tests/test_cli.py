@@ -11,6 +11,7 @@ from importlib.resources import files as resource_files
 
 from jgraphs import (
     Graph,
+    automorphism_group,
     complement,
     complete_graph,
     distance_partition,
@@ -490,6 +491,24 @@ class TestSearchTimeLimit:
         assert time.monotonic() - start < 10
         assert code == 3 and out == ""
         assert err == "error: time limit exceeded\n"
+
+    def test_aut_stops_before_the_profile_once_past_the_limit(self, capsys, tmp_path, monkeypatch):
+        import jgraphs.cli
+
+        def late_search(g, cap, deadline):
+            group = automorphism_group(g)
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+            return group
+
+        profiled = []
+        monkeypatch.setattr(jgraphs.cli, "automorphism_group", late_search)
+        monkeypatch.setattr(jgraphs.cli, "transitivity_profile", lambda *args: profiled.append(args))
+        path = tmp_path / "j52.g6"
+        path.write_text(write_graph6(johnson_graph(5, 2)))
+        code, out, err = run_cli(capsys, "aut", str(path), "--time-limit", "0.05")
+        assert code == 3 and out == ""
+        assert err == "error: time limit exceeded\n"
+        assert profiled == []
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize("limit", ["inf", "nan", "1e300", "-5"])

@@ -122,6 +122,25 @@ class TestGraph6Networkx:
         for g in (johnson_graph(8, 3), line_graph(complete_graph(9))[0], Graph.from_edges(70, edges)):
             assert_networkx_graph6_agrees(g)
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_every_bit_alignment(self, n):
+        # n in 1..40 gives n(n-1)/2 every residue mod 24 (one base64 group) it can take
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        padding = -len(pairs) % 6
+        for edges in ([], pairs, [e for e in pairs if rng.random() < 0.5]):
+            g = Graph.from_edges(n, edges)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(edges)
+            text = nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert write_graph6(g) == text
+            assert parse_graph6(text) == g
+            for k in range(padding):
+                with pytest.raises(ValueError, match="nonzero padding bits"):
+                    parse_graph6(text[:-1] + chr(63 + ((ord(text[-1]) - 63) | (1 << k))))
+
 
 class TestDot:
     def test_labels_used_when_present(self):

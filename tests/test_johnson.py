@@ -422,6 +422,7 @@ def _shrikhande():
 
 PRISM = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+TWO_K4 = Graph.from_edges(8, [(a, b) for a, b in itertools.combinations(range(8), 2) if a // 4 == b // 4])
 ORACLE_CASES = {
     # name: (graph, group or None for the full automorphism group, expected flags)
     "prism": (PRISM, None, (True, False, False)),
@@ -448,6 +449,19 @@ ORACLE_CASES = {
     "C6 trivial group": (_cycle(6), PermGroup([], 6), (False, False, False)),
     "petersen trivial group": (kneser_graph(5, 2), PermGroup([], 10), (False, False, False)),
     "J(6,3)": (johnson_graph(6, 3), None, (True, True, True)),
+    # small-support generators fix most edges, which the edge pass skips
+    "K8": (complete_graph(8), None, (True, True, True)),
+    "K44": (complete_bipartite(4, 4), None, (True, True, True)),
+    "2K4": (TWO_K4, None, (True, True, True)),
+    "2K4 diagonal Sym(4)": (
+        # Sym(4) acting on both copies at once, and their swap: the stabilizer
+        # of 0 fixes 4, so the unreachable class is not one orbit
+        TWO_K4,
+        PermGroup([Perm.from_cycles(8, (0, 1), (4, 5)),
+                   Perm.from_cycles(8, (1, 2, 3), (5, 6, 7)),
+                   Perm.from_cycles(8, (0, 4), (1, 5), (2, 6), (3, 7))], 8),
+        (True, True, False),
+    ),
 }
 
 
