@@ -50,6 +50,27 @@ def bits(mask: int):
         mask ^= low
 
 
+def _is_symmetric(adj) -> bool:
+    """True when every row bit has its mirror, for loop-free rows.
+
+    Only the bits above the diagonal are walked: each must have its
+    mirror below it, and then equal bit counts of the two triangles leave
+    no bit below the diagonal without a mirror above it.
+    """
+    upper = lower = 0
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        above = row >> v  # bit i stands for vertex v + i, and bit 0 is clear
+        upper += above.bit_count()
+        lower += (row & (bit - 1)).bit_count()
+        while above:
+            low = above & -above
+            if not adj[v + low.bit_length() - 1] & bit:
+                return False
+            above ^= low
+    return upper == lower
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
@@ -76,10 +97,11 @@ class Graph:
                 raise ValueError(f"row {v} mentions vertices outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(adj):
-            for w in bits(row):
-                if not (adj[w] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {w}")
+        if not _is_symmetric(adj):
+            for v, row in enumerate(adj):
+                for w in bits(row):
+                    if not (adj[w] >> v) & 1:
+                        raise ValueError(f"asymmetric adjacency between {v} and {w}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:

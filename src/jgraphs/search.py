@@ -18,13 +18,14 @@ of), which an isomorphism preserves.  A branch queues only the vertex it
 individualizes: the rest of that cell cannot split an equitable partition.
 
 One walker, ``_leaves``, walks a graph's search tree depth first.  It
-yields the first leaf, then every later leaf whose map from the first
-check_automorphism rejects; each accepted map is an automorphism that
-prunes the rest of the walk.  Its pruning rules are each sound for any
-search: a branch whose refinement trace differs from the first path's is
-dropped at the first difference, a candidate in the orbit of an explored
-sibling under the known automorphisms that fix the branch's prefix is
-skipped, and after an automorphism the walk jumps back to where its two
+yields the first leaf, then every later leaf whose map from the first is
+no automorphism, by the moved-rows check behind check_automorphism; each
+accepted map is an automorphism that prunes the rest of the walk.  Its
+pruning rules are each sound for any search: a branch whose refinement
+trace differs from the first path's is dropped at the first difference, a
+candidate in the orbit of an explored sibling under the known
+automorphisms that fix the branch's prefix is skipped, and after an
+automorphism from an explored leaf the walk jumps back to where its two
 paths part.  A target cell of pairwise twins (vertices whose rows agree
 outside the pair) is one orbit of its node's stabilizer: the walk leaves
 such a node after its first child, and on the first path it hands over
@@ -34,13 +35,16 @@ generator.  The first path's vertices are a base for the automorphism
 group, and the generators found are strong for it, so the group's
 stabilizer chain is seeded with no Schreier-Sims pass.  An isomorphism
 is the first leaf of h's tree, walked along g's first path, onto which
-verify_isomorphism accepts the map from g's first leaf; a non-isomorphic
-pair that refinement cannot split may show no automorphism of h and walk
-all of h's trace-compatible tree.  Each witness is so checked once, by
-the public checker, where the search finds it.  The canonical form is
-the leaf with the least relabelled adjacency over one walk with no trace
-pruning, which prunes by the automorphisms it finds and by every map
-between two leaves with equal relabelled adjacency.
+verify_isomorphism accepts the map from g's first leaf.  A non-isomorphic
+pair that refinement cannot split meets no leaf of h that matches g's
+path, so that walk finds no automorphism of h by itself: once it has
+refined more nodes than h has vertices, it takes the generators of
+automorphism_group(h) once and prunes by their orbits from then on.  Each
+witness is so checked once, by the public checker, where the search finds
+it.  The canonical form is the leaf with the least relabelled adjacency
+over one walk with no trace pruning, which prunes by the automorphisms it
+finds and by every map between two leaves with equal relabelled
+adjacency.
 """
 
 from __future__ import annotations
@@ -224,11 +228,12 @@ def _is_twin_cell(adj, cell):
     return True
 
 
-def _leaves(g, cells, path=None, found=None, deadline=None):
+def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
     """Yield the first discrete leaf partition of the tree of g below the
     equitable ``cells``, then every later leaf whose cell-by-cell map from
-    the first check_automorphism rejects; depth first, candidates in
-    ascending order.
+    the first is no automorphism; depth first, candidates in ascending
+    order.  A map is checked on the rows of the points it moves, the mask
+    of which is computed once and kept for pruning.
 
     ``path`` holds one (target position, vertex, trace) entry per level of
     the first path.  A branch whose refinement trace differs from the
@@ -252,11 +257,17 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
     as soon as the walk returns to it from its first child: the
     transpositions of twins fix its prefix and map that child's subtree
     onto every sibling's.  On the first path the walk first appends the
-    transposition of the cell's two smallest members, once
-    check_automorphism accepts it.  Individualizing a twin splits no
-    other cell and leaves the rest of its cell as the next target, so
-    these transpositions generate the cell's symmetric group and stay
-    strong for the base.
+    transposition of the cell's two smallest members, once it is checked
+    to be an automorphism.  Individualizing a twin splits no other cell
+    and leaves the rest of its cell as the next target, so these
+    transpositions generate the cell's symmetric group and stay strong
+    for the base.
+
+    ``harvest``, a callable with no arguments that returns automorphisms
+    of g, is called once, as soon as the walk has refined more nodes than
+    g has vertices; what it returns joins ``found``.  Those maps come from
+    no explored leaf, so they prune by the orbit rule only and never make
+    the walk jump back.
     """
     adj = g.adj
     if found is None:
@@ -268,6 +279,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
     first = None
     trunk = []  # the frames of the first path, once the first leaf is found
     support = [_support(a) for a in found]
+    refined = 0
     # frames: [cells, prefix mask, target position, candidates left,
     #          explored candidates, current candidate bit]
     stack = [[cells, 0, k, cells[k], 0, 0]]
@@ -281,11 +293,16 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
                 continue
             second = (cells[k] ^ current) & -(cells[k] ^ current)
             p = Perm.from_cycles(g.n, (current.bit_length() - 1, second.bit_length() - 1))
-            if check_automorphism(g, p):
+            if _maps_edges(adj, adj, p.images, current | second):
                 found.append(p)
                 support.append(current | second)
                 stack.pop()
                 continue
+        if harvest is not None and refined > g.n:
+            for a in harvest():
+                found.append(a)
+                support.append(_support(a))
+            harvest = None
         if explored and left and support:
             fixers = [a.images for a, moved in zip(found, support) if not moved & prefix]
             if fixers:
@@ -299,6 +316,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
         branch = list(cells)
         branch[k:k + 1] = low, cells[k] ^ low
         depth = len(stack)
+        refined += 1
         if path is not None and depth <= len(path):
             if not _refine(adj, branch, deque([low]), expect=path[depth - 1][2]):
                 continue
@@ -314,22 +332,28 @@ def _leaves(g, cells, path=None, found=None, deadline=None):
         if k >= 0:
             stack.append([branch, prefix | low, k, branch[k], 0, 0])
             continue
+        moved = 0  # the points the leaf's new automorphisms move
         if first is None:
             first, trunk = branch, stack[:]
             yield branch
         else:
-            p = Perm(_leaf_map(first, branch))
-            if check_automorphism(g, p):
-                found.append(p)
+            images = _leaf_map(first, branch)
+            for a, b in zip(first, branch):
+                if a != b:
+                    moved |= a
+            if _maps_edges(adj, adj, images, moved):
+                found.append(Perm(images))
+                support.append(moved)
             else:
+                moved = 0
                 yield branch
         while len(support) < len(found):
-            moved = _support(found[len(support)])
-            support.append(moved)
-            for i, other in enumerate(stack):
-                if other[5] & moved:
-                    del stack[i + 1:]
-                    break
+            support.append(_support(found[len(support)]))
+            moved |= support[-1]
+        for i, other in enumerate(stack):
+            if other[5] & moved:
+                del stack[i + 1:]
+                break
 
 
 def _leaf_map(leaf_a, leaf_b):
@@ -396,10 +420,10 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     """The automorphism group of g, optionally restricted to colour-preserving
     permutations when an initial colouring is given.
 
-    Each generator is accepted by check_automorphism where the search
-    finds it.  The stabilizer chain is seeded from the search's first
-    path, so ``base`` lists first-path vertices and no Schreier-Sims pass
-    runs.
+    Each generator is checked, on the rows of the points it moves, where
+    the search finds it.  The stabilizer chain is seeded from the search's
+    first path, so ``base`` lists first-path vertices and no Schreier-Sims
+    pass runs.
 
     Past ``deadline``, a ``time.monotonic()`` instant checked at every
     search node, TimeLimitExceeded is raised; None means no limit.
@@ -416,8 +440,12 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     """An isomorphism from g onto h as a Perm, or None.
 
     The witness is accepted by verify_isomorphism, edge for edge, where the
-    search finds it.  ``deadline`` is checked at every search node as in
-    automorphism_group.
+    search finds it.  The walk over h follows g's first path.  Once it has
+    refined more nodes than h has vertices, it computes
+    automorphism_group(h) once and prunes by the orbits of its
+    generators, so a walk that meets no leaf of h matching g's path is
+    pruned too.  ``deadline`` is checked at every search node as in
+    automorphism_group, the harvest's included.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -433,7 +461,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
         return None
     path = []
     leaf = next(_leaves(g, cells_g, path, deadline=deadline))
-    for other in _leaves(h, cells, path, deadline=deadline):
+    harvest = lambda: automorphism_group(h, deadline=deadline).generators
+    for other in _leaves(h, cells, path, deadline=deadline, harvest=harvest):
         p = Perm(_leaf_map(leaf, other))
         if verify_isomorphism(g, h, p):
             return p

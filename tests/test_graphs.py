@@ -52,6 +52,34 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("drop, pair", [((3, 1), (1, 3)), ((1, 3), (3, 1))])
+    def test_a_lone_asymmetric_bit_is_named(self, drop, pair):
+        # K5 less one row bit: dropping (3, 1) leaves a bit above the
+        # diagonal without its mirror, dropping (1, 3) one below it, which
+        # the walk over the upper triangle never reads; the triangles'
+        # bit counts differ, and the full scan names the pair
+        rows = list(complete_graph(5).adj)
+        v, w = drop
+        rows[v] &= ~(1 << w)
+        message = f"asymmetric adjacency between {pair[0]} and {pair[1]}$"
+        with pytest.raises(ValueError, match=message):
+            Graph(5, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    def test_accepts_exactly_symmetric_rows(self, rows):
+        rows = [row & ~(1 << v) for v, row in enumerate(rows)]
+        symmetric = all(
+            (rows[v] >> w & 1) == (rows[w] >> v & 1) for v in range(len(rows)) for w in range(v)
+        )
+        try:
+            Graph(len(rows), rows)
+        except ValueError:
+            assert not symmetric
+        else:
+            assert symmetric
+
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             Graph(2, (0b110, 0b01))

@@ -114,6 +114,16 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(a.n + b.n, list(a.edges()) + shifted)
 
 
+def srg_unions() -> tuple[Graph, Graph]:
+    """Shrikhande + L(K4,4) and Shrikhande + Shrikhande: non-isomorphic,
+    with components that colour refinement cannot tell apart."""
+    sh = shrikhande()
+    return (
+        disjoint_union(sh, line_graph(complete_bipartite(4, 4))[0]),
+        disjoint_union(sh, sh),
+    )
+
+
 def paley(p: int) -> Graph:
     """Paley graph on Z_p, p = 1 mod 4 prime: x ~ y when x - y is a
     non-zero square.  Self-complementary, with a group of order p(p-1)/2."""
@@ -524,7 +534,7 @@ class TestOneWalk:
         monkeypatch.setattr(Perm, "__init__", counted)
         checks = count_calls(monkeypatch, "_maps_edges")
         automorphism_group(g)
-        # the Perm that check_automorphism accepts is the group's generator
+        # the Perm made for each accepted map is the group's generator
         assert len(perms) == len(checks)
 
     @settings(max_examples=100, deadline=None)
@@ -550,7 +560,7 @@ class TestOneWalk:
         g = self.GRAPHS[name]()
         checks = count_calls(monkeypatch, "_maps_edges")
         aut = automorphism_group(g)
-        # once, by check_automorphism, where the search finds it
+        # once, on its moved rows, where the search finds it
         assert len(checks) == len(aut.generators)
         # and no generator is redundant: each one, found deepest level
         # first, grows the orbit of the first base point it moves
@@ -880,6 +890,120 @@ class TestAdversarialCorpus:
         q = find_isomorphism(g, co)
         assert q is not None and verify_isomorphism(g, co, q)
         assert canonical_form(g) == canonical_form(co)
+
+
+class TestHarvest:
+    """Once the walk over h has refined more nodes than h has vertices,
+    find_isomorphism hands it h's automorphism group, whose generators
+    prune by orbits.  Non-isomorphic pairs that refinement cannot split
+    then walk a pruned tree."""
+
+    # the unpruned walks take 43,626 and 21,928 refinements on the unions,
+    # 369 on Chang -> L(K8) and 117 on Shrikhande -> L(K4,4)
+    BOUNDS = {
+        "Shrikhande + L(K4,4) -> Shrikhande + Shrikhande": (srg_unions, 300),
+        "Shrikhande + Shrikhande -> Shrikhande + L(K4,4)": (
+            lambda: srg_unions()[::-1], 300
+        ),
+        "Chang -> L(K8)": (lambda: (chang(), line_graph(complete_graph(8))[0]), 150),
+        "Shrikhande -> L(K4,4)": (
+            lambda: (shrikhande(), line_graph(complete_bipartite(4, 4))[0]), 100
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_non_isomorphic_pairs_walk_a_pruned_tree(self, monkeypatch, name):
+        make, bound = self.BOUNDS[name]
+        g, h = make()
+        refines = count_calls(monkeypatch, "_refine")
+        assert find_isomorphism(g, h) is None
+        assert len(refines) <= bound
+
+    def test_harvest_fires_after_more_than_n_refinements(self, monkeypatch):
+        g, h = srg_unions()
+        cells_g, cells_h = [(1 << g.n) - 1], [(1 << h.n) - 1]
+        path = []
+        next(jgraphs.search._leaves(g, cells_g, path))
+        refines = count_calls(monkeypatch, "_refine")
+        fired = []
+
+        def harvest():
+            fired.append(len(refines))
+            return automorphism_group(h).generators
+
+        deque(jgraphs.search._leaves(h, cells_h, path, harvest=harvest), maxlen=0)
+        # once, on the first pick after the walk's (n + 1)-th refinement
+        assert fired == [h.n + 1]
+
+    # seeded shuffles whose walk runs past n refinements before it meets a
+    # leaf that maps g onto h; on the unions, a walk that also jumped back
+    # on the harvested maps (sound only for a map between two explored
+    # leaves) would miss every witness
+    @pytest.mark.parametrize(
+        "name,seed,swap",
+        [("Chang", 0, False), ("Chang + L(K8)", 5, False), ("Chang + L(K8)", 18, True)],
+    )
+    def test_isomorphic_pair_that_harvests_keeps_its_witness(self, monkeypatch, name, seed, swap):
+        g = chang() if name == "Chang" else TestAdversarialCorpus.CASES[name][0]()
+        images = list(range(g.n))
+        random.Random(seed).shuffle(images)
+        h = relabel(g, Perm(images))
+        if swap:
+            g, h = h, g
+        harvests = count_calls(monkeypatch, "automorphism_group")
+        p = find_isomorphism(g, h)
+        assert len(harvests) == 1
+        assert p is not None and verify_isomorphism(g, h, p)
+        assert maps_edge_set(g, h, p)
+
+    def test_deadline_expiring_during_the_harvest(self, monkeypatch):
+        g, h = srg_unions()
+        inner = jgraphs.search.automorphism_group
+        stopped = []
+
+        def late(graph, *args, deadline=None, **kwargs):
+            # the walk reached the trigger in time; the harvest overruns
+            time.sleep(max(0.0, deadline - time.monotonic()))
+            try:
+                return inner(graph, *args, deadline=deadline, **kwargs)
+            except TimeLimitExceeded:
+                stopped.append(graph)
+                raise
+
+        monkeypatch.setattr(jgraphs.search, "automorphism_group", late)
+        with pytest.raises(TimeLimitExceeded):
+            find_isomorphism(g, h, deadline=time.monotonic() + 1.0)
+        assert stopped == [h]
+
+    @staticmethod
+    def networkx_isomorphic(g: Graph, h: Graph) -> bool:
+        """networkx's verdict, one connected component at a time: two
+        graphs are isomorphic exactly when their components pair off
+        isomorphically, and VF2++ is slow on whole unions of
+        refinement-resistant components."""
+        nx = pytest.importorskip("networkx")
+        G, H = networkx_graph(g), networkx_graph(h)
+        left = [G.subgraph(c).copy() for c in nx.connected_components(G)]
+        right = [H.subgraph(c).copy() for c in nx.connected_components(H)]
+        for a in left:
+            i = next((i for i, b in enumerate(right) if nx.vf2pp_is_isomorphic(a, b)), None)
+            if i is None:
+                return False
+            del right[i]
+        return not right
+
+    def test_verdicts_agree_with_networkx(self):
+        pairs = [(make_a(), make_b()) for make_a, _, make_b, _ in
+                 TestRefinementResistantPairs.PAIRS.values()]
+        pairs.append(srg_unions())
+        pairs.append((
+            TestAdversarialCorpus.CASES["Chang + L(K8)"][0](),
+            disjoint_union(chang(), chang()),
+        ))
+        for a, b in pairs:
+            for g, h in ((a, b), (b, a)):
+                p = find_isomorphism(g, h)
+                assert (p is None) == (not self.networkx_isomorphic(g, h))
 
 
 class TestOracles:
