@@ -200,7 +200,7 @@ def cmd_aut(args) -> int:
     deadline = _deadline(limit)
     aut = automorphism_group(g, cap=cap, deadline=deadline)
     _check_deadline(deadline)
-    profile = transitivity_profile(g, aut)
+    profile = transitivity_profile(g, aut, deadline=deadline)
     report = {
         "status": "ok",
         "tool_version": __version__,

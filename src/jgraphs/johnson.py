@@ -329,7 +329,7 @@ class TransitivityProfile:
     distance: bool
 
 
-def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
+def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> TransitivityProfile:
     """Vertex, edge and distance transitivity flags under the given group.
 
     Vertex and edge transitivity hold when the vertices, respectively the
@@ -342,6 +342,10 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
     Graphs, 1989), which is what is checked: b is the group's first base
     point and the stabilizer comes from its stabilizer chain, so one BFS
     replaces orbit closure over all ordered pairs.
+
+    Past ``deadline``, a ``time.monotonic()`` instant checked at every
+    edge of the edge pass and every layer of the distance pass,
+    TimeLimitExceeded is raised; None means no limit.
     """
     if aut.degree != g.n:
         raise ValueError(f"group degree {aut.degree} != vertex count {g.n}")
@@ -359,6 +363,7 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
         seen = {edges[0]}
         queue = [edges[0]]
         while queue:
+            _check_deadline(deadline)
             a, b = queue.pop()
             for gen in (*movers[a], *movers[b]):
                 c, d = gen[a], gen[b]
@@ -375,10 +380,11 @@ def transitivity_profile(g: Graph, aut: PermGroup) -> TransitivityProfile:
         stabilizer = [p.images for p in aut.base_stabilizer_generators]
         masks = distance_partition(g, b).masks
         unreachable = (1 << g.n) - 1 - sum(masks)  # the layers are disjoint
-        distance = all(
-            _orbit_mask(stabilizer, mask & -mask) == mask
-            for mask in (*masks, unreachable) if mask
-        )
+        for mask in (*masks, unreachable):
+            _check_deadline(deadline)
+            if mask and _orbit_mask(stabilizer, mask & -mask) != mask:
+                distance = False
+                break
     return TransitivityProfile(vertex=vertex, edge=edge, distance=distance)
 
 
@@ -622,8 +628,7 @@ def verify_johnson_aut(
         f"there is the whole first layer",
     ))
 
-    _check_deadline(deadline)
-    profile = transitivity_profile(g, aut)
+    profile = transitivity_profile(g, aut, deadline=deadline)
     checks.append(CheckResult("vertex_transitive", profile.vertex, True, "single vertex orbit"))
     checks.append(CheckResult("edge_transitive", profile.edge, True, "single edge orbit"))
     checks.append(CheckResult(

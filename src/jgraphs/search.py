@@ -108,31 +108,64 @@ class ColoredPartition:
         return all(len(cell) == 1 for cell in self.cells)
 
 
-def _split_counts(adj, cell, splitter):
-    """Group a cell's vertices by their neighbour count into the splitter."""
-    groups = {}
-    m = cell
+def _planes(adj, splitter):
+    """Count bit planes of a splitter: the rows of its vertices added with
+    big-int half-adders, so that a vertex's neighbour count into the
+    splitter has bit i set exactly where plane i holds the vertex.  A
+    single vertex adds nothing: its row is its one plane."""
+    planes = []
+    m = splitter
     while m:
         low = m & -m
-        v = low.bit_length() - 1
         m ^= low
-        c = (adj[v] & splitter).bit_count()
-        prev = groups.get(c)
-        groups[c] = low if prev is None else prev | low
-    return groups
+        carry = adj[low.bit_length() - 1]
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    return planes
+
+
+def _cut(cell, planes):
+    """The (count, fragment) pairs of a cell under a splitter's count
+    planes, in ascending count order: the cell is cut by each plane from
+    the highest down, the part outside a plane before the part inside."""
+    parts = [(0, cell)]
+    for i in range(len(planes) - 1, -1, -1):
+        plane = planes[i]
+        cut = []
+        for c, part in parts:
+            meet = plane & part
+            if meet != part:
+                cut.append((c, part ^ meet))
+            if meet:
+                cut.append((c | 1 << i, meet))
+        parts = cut
+    return parts
 
 
 def _refine(adj, cells, queue, trace=None, expect=None):
     """Refine an ordered partition (cell masks) to its coarsest equitable
     refinement; the queue holds pending splitter masks.
 
-    A splitter tests only the non-singleton cells that hold a neighbour of
-    it: any other cell has count 0 for every vertex, so it cannot split.
+    Each splitter is read through its count planes (``_planes``), built
+    once; their union holds every vertex with a neighbour in it.  Only the
+    non-singleton cells that meet the union are tested: any other cell has
+    count 0 for every vertex, so it cannot split.  A cell that every plane
+    meets in nothing or in all of it does not split, and the planes that
+    hold it spell its one count, so no vertex is read.  Any other cell is
+    cut by the planes from the highest down, which leaves its fragments in
+    ascending count order.
+
     Testing cell k gives a signature ``(k, pairs)``, the cell's position
-    and its sorted (count, fragment size) pairs.  Signatures are appended
-    to ``trace``, or checked against ``expect``: False at the first
-    difference or when the lengths differ.  The positions keep equal
+    and its ascending (count, fragment size) pairs.  Signatures are
+    appended to ``trace``, or checked against ``expect``: False at the
+    first difference or when the lengths differ.  The positions keep equal
     traces to equal cell shapes although untested cells leave no entry.
+    A cell that splits takes its fragments' place in order, and every
+    fragment is queued.
     """
     keep = trace is not None or expect is not None
     pos = 0
@@ -141,39 +174,46 @@ def _refine(adj, cells, queue, trace=None, expect=None):
         if cell & (cell - 1):
             active |= cell
     while queue and active:
-        splitter = queue.popleft()
+        planes = _planes(adj, queue.popleft())
         hit = 0
-        m = splitter
-        while m:
-            low = m & -m
-            hit |= adj[low.bit_length() - 1]
-            m ^= low
+        for plane in planes:
+            hit |= plane
         hit &= active
         k = 0
         while hit:
             cell = cells[k]
             if cell & hit:
                 hit &= ~cell
-                groups = _split_counts(adj, cell, splitter)
-                if keep or len(groups) > 1:
-                    counts = sorted(groups)
-                    if keep:
-                        sig = (k, [(c, groups[c].bit_count()) for c in counts])
-                        if expect is None:
-                            trace.append(sig)
-                        elif pos < len(expect) and expect[pos] == sig:
-                            pos += 1
-                        else:
-                            return False
-                    if len(counts) > 1:
-                        frags = [groups[c] for c in counts]
-                        cells[k:k + 1] = frags
-                        queue.extend(frags)
-                        for frag in frags:
-                            if not frag & (frag - 1):
-                                active ^= frag
-                        k += len(frags)
-                        continue
+                count = 0
+                for i, plane in enumerate(planes):
+                    meet = plane & cell
+                    if meet:
+                        if meet != cell:
+                            parts = _cut(cell, planes)
+                            break
+                        count |= 1 << i
+                else:
+                    parts = None
+                if keep:
+                    if parts:
+                        sig = (k, [(c, part.bit_count()) for c, part in parts])
+                    else:
+                        sig = (k, [(count, cell.bit_count())])
+                    if expect is None:
+                        trace.append(sig)
+                    elif pos < len(expect) and expect[pos] == sig:
+                        pos += 1
+                    else:
+                        return False
+                if parts:
+                    frags = [part for _, part in parts]
+                    cells[k:k + 1] = frags
+                    queue.extend(frags)
+                    for frag in frags:
+                        if not frag & (frag - 1):
+                            active ^= frag
+                    k += len(frags)
+                    continue
             k += 1
     return expect is None or pos == len(expect)
 

@@ -17,6 +17,7 @@ from jgraphs import (
     distance_partition,
     johnson_graph,
     kneser_graph,
+    transitivity_profile,
     write_graph6,
     __version__,
 )
@@ -509,6 +510,26 @@ class TestSearchTimeLimit:
         assert code == 3 and out == ""
         assert err == "error: time limit exceeded\n"
         assert profiled == []
+
+    def test_aut_passes_its_deadline_to_the_profile(self, capsys, tmp_path, monkeypatch):
+        import jgraphs.cli
+
+        profiled = []
+
+        def late_profile(g, aut, *, deadline):
+            # the search is done well inside the limit; the profile starts
+            # past it, and raises from its own deadline check
+            profiled.append(deadline)
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+            return transitivity_profile(g, aut, deadline=deadline)
+
+        monkeypatch.setattr(jgraphs.cli, "transitivity_profile", late_profile)
+        path = tmp_path / "j52.g6"
+        path.write_text(write_graph6(johnson_graph(5, 2)))
+        code, out, err = run_cli(capsys, "aut", str(path), "--time-limit", "0.5")
+        assert code == 3 and out == ""
+        assert err == "error: time limit exceeded\n"
+        assert len(profiled) == 1 and profiled[0] is not None
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize("limit", ["inf", "nan", "1e300", "-5"])

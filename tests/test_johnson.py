@@ -372,6 +372,17 @@ class TestTransitivityProfile:
         with pytest.raises(ValueError, match="group degree 4 != vertex count 3"):
             transitivity_profile(complete_graph(3), PermGroup([], 4))
 
+    def test_deadline(self):
+        # K5 stops in the edge pass; the edgeless E5 has none and stops in
+        # the distance pass
+        for g in (complete_graph(5), Graph(5, [0] * 5)):
+            aut = automorphism_group(g)
+            with pytest.raises(TimeLimitExceeded):
+                transitivity_profile(g, aut, deadline=time.monotonic() - 1)
+            profile = transitivity_profile(g, aut, deadline=time.monotonic() + 60)
+            assert profile == transitivity_profile(g, aut)
+            assert profile.vertex and profile.edge and profile.distance
+
 
 def _single_orbit(gens, pairs, key=lambda pair: pair):
     start = key(pairs[0])

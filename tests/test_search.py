@@ -158,10 +158,13 @@ def networkx_aut_order(g: Graph) -> int:
     """|Aut(g)| from networkx by orbit-stabilizer: the orbit of each vertex
     under the automorphisms fixing the earlier ones is counted with one
     node-coloured isomorphism test per candidate image, then the vertex
-    gets a colour of its own."""
+    gets a colour of its own.  Unequal Weisfeiler-Lehman hashes rule a
+    candidate out first: VF2 can take exponential time to refute a
+    candidate among large classes of twins."""
     nx = pytest.importorskip("networkx")
     G = networkx_graph(g)
     same = nx.algorithms.isomorphism.categorical_node_match("c", None)
+    wl = lambda G: nx.weisfeiler_lehman_graph_hash(G, node_attr="c", iterations=g.n)
     colour = dict.fromkeys(range(g.n), 0)
     order = 1
     for v in range(g.n):
@@ -171,7 +174,7 @@ def networkx_aut_order(g: Graph) -> int:
             if colour[w] == colour[v]:
                 H = G.copy()
                 nx.set_node_attributes(H, {**colour, w: -1}, "c")
-                orbit += nx.is_isomorphic(G, H, node_match=same)
+                orbit += wl(G) == wl(H) and nx.is_isomorphic(G, H, node_match=same)
         order *= orbit
         colour[v] = v + 1
     return order
@@ -324,6 +327,111 @@ class TestRefinementTrace:
             jgraphs.search._refine(g.adj, branch, deque(queued))
             outcomes.append(branch)
         assert outcomes[0] == outcomes[1]
+
+    @staticmethod
+    def reference_refine(adj, cells, queue, trace=None, expect=None):
+        """The kernel's contract by the per-vertex counting rule: each
+        non-singleton cell that holds a neighbour of the splitter is tested
+        in position order, every member counts its neighbours in the
+        splitter one vertex at a time, and the fragments take the cell's
+        place in ascending count order."""
+        sigs = []
+        while queue and any(cell & (cell - 1) for cell in cells):
+            splitter = queue.popleft()
+            reach = 0
+            for v in bits(splitter):
+                reach |= adj[v]
+            k = 0
+            while k < len(cells):
+                cell = cells[k]
+                if not (cell & (cell - 1) and cell & reach):
+                    k += 1
+                    continue
+                groups = {}
+                for v in bits(cell):
+                    c = (adj[v] & splitter).bit_count()
+                    groups[c] = groups.get(c, 0) | 1 << v
+                counts = sorted(groups)
+                sigs.append((k, [(c, groups[c].bit_count()) for c in counts]))
+                if expect is not None and (
+                    len(sigs) > len(expect) or expect[len(sigs) - 1] != sigs[-1]
+                ):
+                    return False
+                frags = [groups[c] for c in counts]
+                cells[k:k + 1] = frags
+                if len(frags) > 1:
+                    queue.extend(frags)
+                k += len(frags)
+        if trace is not None:
+            trace.extend(sigs)
+        return expect is None or sigs == expect
+
+    def assert_kernel_matches_reference(self, adj, cells, queue, altered=None):
+        """The kernel and the reference agree on the cells, the trace and
+        the verdict, plainly, with a trace, against the reference's trace
+        and against that trace with the signature at ``altered`` changed."""
+        kernel = jgraphs.search._refine
+        want = list(cells)
+        trace = []
+        assert self.reference_refine(adj, want, deque(queue), trace)
+        for keep in (None, []):
+            got = list(cells)
+            assert kernel(adj, got, deque(queue), keep)
+            assert got == want
+            assert keep is None or keep == trace
+        expects = [trace, trace + [(0, [(0, 1)])]]
+        if altered is not None and trace:
+            i = altered % len(trace)
+            k, pairs = trace[i]
+            expects += [
+                trace[:i] + [(k + 1, pairs)] + trace[i + 1:],
+                trace[:i] + [(k, pairs[:-1] + [(pairs[-1][0] + 1, pairs[-1][1])])] + trace[i + 1:],
+                trace[:i],
+            ]
+        for expect in expects:
+            want, got = list(cells), list(cells)
+            verdict = self.reference_refine(adj, want, deque(queue), expect=expect)
+            assert kernel(adj, got, deque(queue), expect=expect) is verdict
+            assert got == want
+            assert verdict is (expect == trace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_per_vertex_counting(self, data):
+        # splitters of every size up to the whole vertex set, on graphs
+        # dense enough that counts reach 8 and the carries a fourth plane
+        n = data.draw(st.integers(1, 12))
+        density = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        g = random_graph(rng, n, density)
+        cells = self.cells_of(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        queue = []
+        for size in data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6)):
+            queue.append(sum(1 << v for v in data.draw(st.permutations(range(n)))[:size]))
+        if data.draw(st.booleans()):
+            queue += cells
+        self.assert_kernel_matches_reference(
+            g.adj, cells, queue, altered=data.draw(st.integers(0, 100))
+        )
+
+    def test_counts_of_eight_and_more(self):
+        # K12 less the edges 0-1, 0-2, 0-3 and 4-5: with every vertex as the
+        # splitter, the counts are the degrees 8, 10 and 11, which need the
+        # fourth plane; K12 itself gives count 11 to all, and does not split
+        g = Graph.from_edges(12, [
+            e for e in combinations(range(12), 2) if e not in {(0, 1), (0, 2), (0, 3), (4, 5)}
+        ])
+        full = (1 << 12) - 1
+        assert len(jgraphs.search._planes(g.adj, full)) == 4
+        trace = []
+        cells = [full]
+        jgraphs.search._refine(g.adj, cells, deque([full]), trace)
+        assert trace[0] == (0, [(8, 1), (10, 5), (11, 6)])
+        self.assert_kernel_matches_reference(g.adj, [full], [full], altered=0)
+        trace = []
+        jgraphs.search._refine(complete_graph(12).adj, [full], deque([full]), trace)
+        assert trace == [(0, [(11, 12)])]
+        self.assert_kernel_matches_reference(complete_graph(12).adj, [full], [full], altered=0)
 
 
 class TestAutomorphismGroup:
@@ -641,6 +749,25 @@ class TestTwinCells:
             assert (canonical_form(h) == form) == nx.is_isomorphic(
                 networkx_graph(g), networkx_graph(h)
             )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_larger_twin_blow_ups(self, seed):
+        # past the brute-force limit: 11 to 16 vertices; on five seeds of
+        # the eight a vertex has 8 or more neighbours, which the whole
+        # vertex set, the first splitter, counts in a fourth plane
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        base = random_graph(rng, n, 0.5)
+        target = rng.randint(11, 16)
+        sizes = [1] * n
+        while sum(sizes) < target:
+            sizes[rng.randrange(n)] += 1
+        cliques = [rng.random() < 0.5 for _ in range(n)]
+        g = twin_blow_up(base, sizes, cliques)
+        assert 11 <= g.n <= 16
+        aut = automorphism_group(g)
+        assert aut.order == networkx_aut_order(g)
+        assert all(maps_edge_set(g, g, p) for p in aut.generators)
 
 
 def maps_edge_set(g: Graph, h: Graph, p: Perm) -> bool:
