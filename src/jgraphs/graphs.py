@@ -1,7 +1,6 @@
 """Immutable undirected simple graphs with bit-mask adjacency rows, the
 graph families built on subset labels, and the standard constructions
-(line graph, complement, induced subgraph, distance layers and the
-all-pairs distance table).
+(line graph, complement, induced subgraph and distance layers).
 
 Vertices are 0-based indices.  Subset-labelled families attach a
 SubsetLabel per vertex; the vertex order of those families is exactly the
@@ -71,6 +70,15 @@ def _is_symmetric(adj) -> bool:
     return upper == lower
 
 
+def _edge_list(adj) -> list[tuple[int, int]]:
+    """The edges of adjacency rows as (u, v) with u < v, in lexicographic order."""
+    out = []
+    for u, row in enumerate(adj):
+        for w in bits(row >> (u + 1)):
+            out.append((u, u + 1 + w))
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
@@ -136,12 +144,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            for w in bits(row):
-                out.append((u, u + 1 + w))
-        return out
+        return _edge_list(self.adj)
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -148,13 +148,15 @@ class IntersectionWitness:
     extras: frozenset[int]
 
 
-def _meet(g: Graph, masks: tuple[int, ...], d: int, v: int) -> int:
-    """The vertices of layer d adjacent to every back-neighbour of v, as a
-    mask; ``masks`` are the BFS layer masks around a source and v lies in
-    layer d >= 1."""
-    meet = masks[d]
+def _meet(g: Graph, masks, d: int, v: int, images, image_masks) -> int:
+    """The vertices of layer d of ``image_masks`` adjacent to the image
+    under ``images`` of every back-neighbour of v, as a mask.  ``masks``
+    are the BFS layers around a source, with v in layer d >= 1, and
+    ``image_masks`` the layers around the source's image.  Under the
+    identity map, with ``masks`` for both, the paper needs it to be {v}."""
+    meet = image_masks[d]
     for w in bits(g.adj[v] & masks[d - 1]):
-        meet &= g.adj[w]
+        meet &= g.adj[images[w]]
     return meet
 
 
@@ -176,7 +178,7 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     d = dp.dist[v]
     if d is None:
         raise ValueError(f"vertex {v} is unreachable from {x}")
-    meet = _meet(g, dp.masks, d, v)
+    meet = _meet(g, dp.masks, d, v, range(g.n), dp.masks)
     return IntersectionWitness(
         passed=meet == 1 << v,
         layer=d,
@@ -287,9 +289,7 @@ def local_reconstruction(g: Graph, x: int, seed: PartialVertexMap) -> Perm:
     taken = set(images.values())
     for d in range(2, len(dp.masks)):
         for u in bits(dp.masks[d]):
-            candidates = dp_image.masks[d]
-            for w in bits(g.adj[u] & dp.masks[d - 1]):
-                candidates &= g.adj[images[w]]
+            candidates = _meet(g, dp.masks, d, u, images, dp_image.masks)
             if candidates.bit_count() != 1:
                 raise ReconstructionError(
                     f"vertex {u} at layer {d} has {candidates.bit_count()} candidates",
@@ -352,28 +352,24 @@ def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> Transiti
     gens = [p.images for p in aut.generators]
     vertex = len(aut.orbit(0)) == g.n
     edges = g.edges()
-    if edges:
-        # a generator that fixes both ends of an edge fixes the edge
-        movers = [[] for _ in range(g.n)]
-        for gen in gens:
-            for v, w in enumerate(gen):
-                if v != w:
-                    movers[v].append(gen)
-        edge_pairs = set(edges)
-        seen = {edges[0]}
-        queue = [edges[0]]
-        while queue:
-            _check_deadline(deadline)
-            a, b = queue.pop()
-            for gen in (*movers[a], *movers[b]):
-                c, d = gen[a], gen[b]
-                e = (c, d) if c < d else (d, c)
-                if e not in seen:
-                    seen.add(e)
-                    queue.append(e)
-        edge = seen == edge_pairs
-    else:
-        edge = True
+    # a generator that fixes both ends of an edge fixes the edge
+    movers = [[] for _ in range(g.n)]
+    for gen in gens:
+        for v, w in enumerate(gen):
+            if v != w:
+                movers[v].append(gen)
+    seen = set(edges[:1])
+    queue = edges[:1]
+    while queue:
+        _check_deadline(deadline)
+        a, b = queue.pop()
+        for gen in (*movers[a], *movers[b]):
+            c, d = gen[a], gen[b]
+            e = (c, d) if c < d else (d, c)
+            if e not in seen:
+                seen.add(e)
+                queue.append(e)
+    edge = seen == set(edges)
     distance = vertex
     if distance:
         b = aut.base[0] if aut.base else 0
@@ -602,11 +598,12 @@ def verify_johnson_aut(
     in_hypothesis = n >= 6 and m >= 3
     deep_total = deep_unique = 0
     first_total = first_unique = 0
+    identity = range(g.n)
     for x in sources:
         _check_deadline(deadline)
         masks = distance_partition(g, x).masks
         for d in range(1, len(masks)):
-            unique = sum(_meet(g, masks, d, v) == 1 << v for v in bits(masks[d]))
+            unique = sum(_meet(g, masks, d, v, identity, masks) == 1 << v for v in bits(masks[d]))
             if d >= 2:
                 deep_total += masks[d].bit_count()
                 deep_unique += unique

@@ -298,6 +298,26 @@ class TestLocalReconstruction:
         err = info.value
         assert (err.vertex, err.layer, err.candidates) == (1, 2, frozenset({1, 2}))
 
+    def test_collision_on_a_taken_image(self):
+        # the seed swaps 2 and 3, so vertex 4 (behind 3) takes 5, the image
+        # that 5 (behind 2 and 3) is then pinned to as well
+        g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)])
+        with pytest.raises(
+            ReconstructionError, match="vertex 5 at layer 2 collides on image 5"
+        ) as info:
+            local_reconstruction(g, 0, PartialVertexMap(g, {0: 0, 2: 3, 3: 2}))
+        err = info.value
+        assert (err.vertex, err.layer, err.candidates) == (5, 2, frozenset({5}))
+
+    def test_propagated_bijection_that_is_no_automorphism(self):
+        # every candidate set is a singleton and no image repeats, yet the
+        # map sends the edge 4-5 inside layer 2, which propagation never
+        # reads, to the non-edge 5-3
+        g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 6),
+                                 (3, 4), (4, 5), (4, 6), (5, 6)])
+        with pytest.raises(ReconstructionError, match="propagated map is not an automorphism"):
+            local_reconstruction(g, 2, PartialVertexMap(g, {2: 2, 0: 6, 1: 0, 6: 1}))
+
     def test_layer_profiles_differ(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(

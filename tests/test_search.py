@@ -114,6 +114,15 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(a.n + b.n, list(a.edges()) + shifted)
 
 
+def cycle_union(sizes) -> Graph:
+    """Disjoint cycles of the given lengths, in order."""
+    edges, start = [], 0
+    for k in sizes:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return Graph.from_edges(start, edges)
+
+
 def srg_unions() -> tuple[Graph, Graph]:
     """Shrikhande + L(K4,4) and Shrikhande + Shrikhande: non-isomorphic,
     with components that colour refinement cannot tell apart."""
@@ -700,6 +709,8 @@ class TestTwinCells:
         "K60,90": (
             lambda: complete_bipartite(60, 90), math.factorial(60) * math.factorial(90), 148
         ),
+        # n < 2m: no two 3-subsets of {1..5} are disjoint
+        "K(5,3)": (lambda: kneser_graph(5, 3), math.factorial(10), 9),
     }
 
     @pytest.mark.parametrize("name", list(GRAPHS))
@@ -768,6 +779,27 @@ class TestTwinCells:
         aut = automorphism_group(g)
         assert aut.order == networkx_aut_order(g)
         assert all(maps_edge_set(g, g, p) for p in aut.generators)
+
+    def test_twin_nodes_off_the_first_path(self):
+        # individualizing a triangle vertex leaves its two mates as a twin
+        # cell; the canonical walk meets such cells below root children
+        # other than the first, off the first path, and leaves each of
+        # those nodes after its first child
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(23)
+        graphs = []
+        for sizes in [(6, 3, 3), (3, 3, 6), (4, 3, 3)]:
+            g = cycle_union(sizes)
+            graphs.append(g)
+            for _ in range(3):
+                images = list(range(g.n))
+                rng.shuffle(images)
+                graphs.append(relabel(g, Perm(images)))
+        forms = [canonical_form(g) for g in graphs]
+        for g in graphs:
+            assert automorphism_group(g).order == networkx_aut_order(g)
+        for (g, a), (h, b) in combinations(zip(graphs, forms), 2):
+            assert (a == b) == nx.is_isomorphic(networkx_graph(g), networkx_graph(h))
 
 
 def maps_edge_set(g: Graph, h: Graph, p: Perm) -> bool:
