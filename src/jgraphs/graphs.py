@@ -245,8 +245,6 @@ def kneser_graph(n: int, m: int, cap: int | None = None) -> Graph:
     rows = [0] * count
     for r, label in enumerate(labels):
         outside = [b for b in range(n) if not (label.mask >> b) & 1]
-        if len(outside) < m:
-            continue
         for combo in combinations(outside, m):
             other = 0
             for b in combo:

@@ -12,16 +12,20 @@ order is not, so it stays a presentation rule only.
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
 vertex order.  The first path takes the smallest candidate at every level
-and keeps each level's refinement trace: one positioned count signature
-for each non-singleton cell that a splitter reaches (holds a neighbour
-of), which an isomorphism preserves.  A branch queues only the vertex it
-individualizes: the rest of that cell cannot split an equitable partition.
+and keeps the refinement trace of each of its nodes, the root's first:
+one positioned count signature for each non-singleton cell that a
+splitter reaches (holds a neighbour of), which an isomorphism preserves.
+A branch queues only the vertex it individualizes: the rest of that cell
+cannot split an equitable partition.
 
-One walker, ``_leaves``, walks a graph's search tree depth first.  It
-yields the first leaf, then every later leaf whose map from the first is
+One walker, ``_leaves``, walks a graph's search tree depth first from the
+unrefined initial colouring, and one rule inside it refines every node of
+a search, the root included: it only refines, or follows the first path's
+trace at a level the path holds, or records a new level.  It yields the
+first leaf, then every later leaf whose map from the first is
 no automorphism, by the moved-rows check behind check_automorphism; each
 accepted map is an automorphism that prunes the rest of the walk.  Its
-pruning rules are each sound for any search: a branch whose refinement
+pruning rules are each sound for any search: a node whose refinement
 trace differs from the first path's is dropped at the first difference, a
 candidate in the orbit of an explored sibling under the known
 automorphisms that fix the branch's prefix is skipped, and after an
@@ -35,7 +39,8 @@ generator.  The first path's vertices are a base for the automorphism
 group, and the generators found are strong for it, so the group's
 stabilizer chain is seeded with no Schreier-Sims pass.  An isomorphism
 is the first leaf of h's tree, walked along g's first path, onto which
-verify_isomorphism accepts the map from g's first leaf.  A non-isomorphic
+verify_isomorphism accepts the map from g's first leaf; when h's root
+trace differs from g's, neither graph's tree is descended.  A non-isomorphic
 pair that refinement cannot split meets no leaf of h that matches g's
 path, so that walk finds no automorphism of h by itself: once it has
 refined more nodes than h has vertices, it takes the generators of
@@ -269,17 +274,24 @@ def _is_twin_cell(adj, cell):
 
 
 def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
-    """Yield the first discrete leaf partition of the tree of g below the
-    equitable ``cells``, then every later leaf whose cell-by-cell map from
-    the first is no automorphism; depth first, candidates in ascending
-    order.  A map is checked on the rows of the points it moves, the mask
-    of which is computed once and kept for pruning.
+    """Walk the search tree of g below the initial colouring ``cells``
+    (cell masks, refined in place).  Return None when the root's
+    refinement trace differs from the root entry of ``path``; otherwise a
+    generator that yields the first discrete leaf partition, then every
+    later leaf whose cell-by-cell map from the first is no automorphism;
+    depth first, candidates in ascending order.  A map is checked on the
+    rows of the points it moves, the mask of which is computed once and
+    kept for pruning.
 
-    ``path`` holds one (target position, vertex, trace) entry per level of
-    the first path.  A branch whose refinement trace differs from the
-    path's at its level is pruned; equal traces give equal cell shapes, so
-    every target position is read from the path.  An empty ``path`` is
-    filled during the walk's first descent, which ends at the first leaf.
+    One rule refines every node of the walk, the root included.  With no
+    ``path`` it only refines.  ``path`` holds one (vertex, trace) entry
+    per node of the first path, the root's first with vertex None, then
+    the vertex individualized at each level.  At a level the path holds,
+    a node's refinement must reproduce that level's trace or the node is
+    pruned; equal traces give equal cell shapes, so every target cell sits
+    where the first path's did.  Past the path's end, the node's vertex
+    and trace are appended: an empty ``path`` is filled by the root and
+    the walk's first descent, which ends at the first leaf.
 
     Each accepted map is appended to ``found`` as a Perm, and a consumer
     may append automorphisms of its own after a leaf.  Two rules skip
@@ -290,8 +302,8 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
     explored path onto the current one, so every frame above the first
     whose current candidate it moves is popped.  Backtracking goes deepest
     level first, so the accepted maps are strong for the base of
-    first-path vertices.  Each node checks ``deadline`` before it refines
-    its branch.
+    first-path vertices.  Each node below the root checks ``deadline``
+    before it refines its branch.
 
     A node whose target cell is a twin cell (``_is_twin_cell``) is popped
     as soon as the walk returns to it from its first child: the
@@ -308,96 +320,103 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
     triangles took about nine times as long).
 
     ``harvest``, a callable with no arguments that returns automorphisms
-    of g, is called once, as soon as the walk has refined more nodes than
-    g has vertices; what it returns joins ``found``.  Those maps come from
-    no explored leaf, so they prune by the orbit rule only and never make
-    the walk jump back.
+    of g, is called once, as soon as the walk has refined more nodes below
+    the root than g has vertices; what it returns joins ``found``.  Those
+    maps come from no explored leaf, so they prune by the orbit rule only
+    and never make the walk jump back.
     """
     adj = g.adj
     if found is None:
         found = []
-    k = _target_cell(cells) if not path else path[0][0]
-    if k < 0:
-        yield cells
-        return
-    first = None
-    trunk = []  # the frames of the first path, once the first leaf is found
-    support = [_support(a) for a in found]
-    refined = 0
-    # frames: [cells, prefix mask, target position, candidates left,
-    #          explored candidates, current candidate bit]
-    stack = [[cells, 0, k, cells[k], 0, 0]]
-    while stack:
-        frame = stack[-1]
-        cells, prefix, k, left, explored, current = frame
-        if current and explored == current and _is_twin_cell(adj, cells[k]):
-            # back from the first child of a twin node
-            if len(stack) > len(trunk) or trunk[len(stack) - 1] is not frame:
-                stack.pop()
-                continue
-            second = (cells[k] ^ current) & -(cells[k] ^ current)
-            p = Perm.from_cycles(g.n, (current.bit_length() - 1, second.bit_length() - 1))
-            if _maps_edges(adj, adj, p.images, current | second):
-                found.append(p)
-                support.append(current | second)
-                stack.pop()
-                continue
-        if harvest is not None and refined > g.n:
-            for a in harvest():
-                found.append(a)
-                support.append(_support(a))
-            harvest = None
-        if explored and left and support:
-            fixers = [a.images for a, moved in zip(found, support) if not moved & prefix]
-            if fixers:
-                left &= ~_orbit_mask(fixers, explored)
-        if not left:
-            stack.pop()
-            continue
-        low = left & -left
-        frame[3:] = left ^ low, explored | low, low
-        _check_deadline(deadline)
-        branch = list(cells)
-        branch[k:k + 1] = low, cells[k] ^ low
-        depth = len(stack)
-        refined += 1
-        if path is not None and depth <= len(path):
-            if not _refine(adj, branch, deque([low]), expect=path[depth - 1][2]):
-                continue
-            k = path[depth][0] if depth < len(path) else -1
+
+    def refine_node(branch, queue, vertex, level):
+        if path is None:
+            _refine(adj, branch, queue)
+        elif level < len(path):
+            return _refine(adj, branch, queue, expect=path[level][1])
         else:
-            if path is None:
-                _refine(adj, branch, deque([low]))
-            else:
-                trace = []
-                _refine(adj, branch, deque([low]), trace)
-                path.append((k, low.bit_length() - 1, trace))
+            trace = []
+            _refine(adj, branch, queue, trace)
+            path.append((vertex, trace))
+        return True
+
+    def walk(cells, harvest):
+        k = _target_cell(cells)
+        if k < 0:
+            yield cells
+            return
+        first = None
+        trunk = []  # the frames of the first path, once the first leaf is found
+        support = []  # the points each automorphism in found moves
+        refined = 0
+        # frames: [cells, prefix mask, target position, candidates left,
+        #          explored candidates, current candidate bit]
+        stack = [[cells, 0, k, cells[k], 0, 0]]
+        while stack:
+            frame = stack[-1]
+            cells, prefix, k, left, explored, current = frame
+            if current and explored == current and _is_twin_cell(adj, cells[k]):
+                # back from the first child of a twin node
+                if len(stack) > len(trunk) or trunk[len(stack) - 1] is not frame:
+                    stack.pop()
+                    continue
+                second = (cells[k] ^ current) & -(cells[k] ^ current)
+                p = Perm.from_cycles(g.n, (current.bit_length() - 1, second.bit_length() - 1))
+                if _maps_edges(adj, adj, p.images, current | second):
+                    found.append(p)
+                    support.append(current | second)
+                    stack.pop()
+                    continue
+            if harvest is not None and refined > g.n:
+                for a in harvest():
+                    found.append(a)
+                    support.append(_support(a))
+                harvest = None
+            if explored and left and support:
+                fixers = [a.images for a, moved in zip(found, support) if not moved & prefix]
+                if fixers:
+                    left &= ~_orbit_mask(fixers, explored)
+            if not left:
+                stack.pop()
+                continue
+            low = left & -left
+            frame[3:] = left ^ low, explored | low, low
+            _check_deadline(deadline)
+            branch = list(cells)
+            branch[k:k + 1] = low, cells[k] ^ low
+            refined += 1
+            if not refine_node(branch, deque([low]), low.bit_length() - 1, len(stack)):
+                continue
             k = _target_cell(branch)
-        if k >= 0:
-            stack.append([branch, prefix | low, k, branch[k], 0, 0])
-            continue
-        moved = 0  # the points the leaf's new automorphisms move
-        if first is None:
-            first, trunk = branch, stack[:]
-            yield branch
-        else:
-            images = _leaf_map(first, branch)
-            for a, b in zip(first, branch):
-                if a != b:
-                    moved |= a
-            if _maps_edges(adj, adj, images, moved):
-                found.append(Perm(images))
-                support.append(moved)
-            else:
-                moved = 0
+            if k >= 0:
+                stack.append([branch, prefix | low, k, branch[k], 0, 0])
+                continue
+            moved = 0  # the points the leaf's new automorphisms move
+            if first is None:
+                first, trunk = branch, stack[:]
                 yield branch
-        while len(support) < len(found):
-            support.append(_support(found[len(support)]))
-            moved |= support[-1]
-        for i, other in enumerate(stack):
-            if other[5] & moved:
-                del stack[i + 1:]
-                break
+            else:
+                images = _leaf_map(first, branch)
+                for a, b in zip(first, branch):
+                    if a != b:
+                        moved |= a
+                if _maps_edges(adj, adj, images, moved):
+                    found.append(Perm(images))
+                    support.append(moved)
+                else:
+                    moved = 0
+                    yield branch
+            while len(support) < len(found):
+                support.append(_support(found[len(support)]))
+                moved |= support[-1]
+            for i, other in enumerate(stack):
+                if other[5] & moved:
+                    del stack[i + 1:]
+                    break
+
+    if not refine_node(cells, deque(cells), None, 0):
+        return None
+    return walk(cells, harvest)
 
 
 def _leaf_map(leaf_a, leaf_b):
@@ -412,19 +431,11 @@ def _leaf_map(leaf_a, leaf_b):
 def _initial_cells(g, colors):
     if colors is None:
         return [(1 << g.n) - 1]
-    if isinstance(colors, ColoredPartition):
-        if colors.n != g.n:
-            raise ValueError(f"partition covers {colors.n} vertices, graph has {g.n}")
-        cell_lists = colors.cells
-    else:
-        cell_lists = ColoredPartition.from_cells(g.n, colors).cells
-    out = []
-    for members in cell_lists:
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        out.append(mask)
-    return out
+    if not isinstance(colors, ColoredPartition):
+        colors = ColoredPartition.from_cells(g.n, colors)
+    elif colors.n != g.n:
+        raise ValueError(f"partition covers {colors.n} vertices, graph has {g.n}")
+    return [sum(1 << v for v in members) for members in colors.cells]
 
 
 def color_refinement(g: Graph, initial: ColoredPartition | None = None) -> ColoredPartition:
@@ -471,19 +482,19 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     search node, TimeLimitExceeded is raised; None means no limit.
     """
     _check_cap(g.n, cap)
-    cells = _initial_cells(g, colors)
-    _refine(g.adj, cells, deque(cells))
     path, found = [], []
-    deque(_leaves(g, cells, path, found, deadline), maxlen=0)
-    return PermGroup(found, g.n, base=tuple(v for _, v, _ in path))
+    deque(_leaves(g, _initial_cells(g, colors), path, found, deadline), maxlen=0)
+    return PermGroup(found, g.n, base=tuple(v for v, _ in path[1:]))
 
 
 def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=None):
     """An isomorphism from g onto h as a Perm, or None.
 
     The witness is accepted by verify_isomorphism, edge for edge, where the
-    search finds it.  The walk over h follows g's first path.  Once it has
-    refined more nodes than h has vertices, it computes
+    search finds it.  The walk over h follows g's first path from the
+    root, so a root trace that differs ends the search before either
+    graph is descended.  Once the walk has refined more nodes than h has
+    vertices, it computes
     automorphism_group(h) once and prunes by the orbits of its
     generators, so a walk that meets no leaf of h matching g's path is
     pruned too.  ``deadline`` is checked at every search node as in
@@ -495,16 +506,15 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     # so its trace is empty whatever its size: compare vertex counts here
     if g.n != h.n:
         return None
-    cells_g = [(1 << g.n) - 1]
-    trace = []
-    _refine(g.adj, cells_g, deque(cells_g), trace)
-    cells = [(1 << h.n) - 1]
-    if not _refine(h.adj, cells, deque(cells), expect=trace):
-        return None
     path = []
-    leaf = next(_leaves(g, cells_g, path, deadline=deadline))
+    leaves = _leaves(g, [(1 << g.n) - 1], path, deadline=deadline)
     harvest = lambda: automorphism_group(h, deadline=deadline).generators
-    for other in _leaves(h, cells, path, deadline=deadline, harvest=harvest):
+    others = _leaves(h, [(1 << h.n) - 1], path, deadline=deadline, harvest=harvest)
+    if others is None:
+        # h's root trace differs from g's: no descent of either graph runs
+        return None
+    leaf = next(leaves)
+    for other in others:
         p = Perm(_leaf_map(leaf, other))
         if verify_isomorphism(g, h, p):
             return p
@@ -552,10 +562,8 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     adj = g.adj
     known = []
     positions = [1 << i for i in range(n)]
-    cells = [(1 << n) - 1]
-    _refine(adj, cells, deque(cells))
     best_key = best_leaf = None
-    for leaf in _leaves(g, cells, None, known, deadline):
+    for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline):
         relabel = _leaf_map(leaf, positions)
         rows = [0] * n
         for v in range(n):

@@ -257,11 +257,19 @@ class TestIntersectionWitness:
 
 
 class TestLocalReconstruction:
-    def test_identity_seed_gives_identity(self):
-        g = johnson_graph(6, 3)
+    # every pair the verifier covers up to n = 10, m = 2 and n < 6 included
+    PAIRS = [(n, m) for n in range(4, 11) for m in range(2, n // 2 + 1)]
+
+    @pytest.mark.parametrize("n, m", PAIRS)
+    def test_identity_seed_gives_identity(self, n, m):
+        # rigid outside the paper's n >= 6, m >= 3 hypothesis too, where the
+        # sweep of layers >= 2 is recorded, not asserted, and still passes
+        g = johnson_graph(n, m)
         dom = [0] + sorted(neighborhood(g, 0))
         f = local_reconstruction(g, 0, PartialVertexMap.identity_on(g, dom))
         assert f.is_identity()
+        checks = {check.name: check for check in verify_johnson_aut(n, m).checks}
+        assert checks["intersection_uniqueness"].passed
 
     def test_recovers_induced_action_from_restriction(self):
         g = johnson_graph(7, 3)

@@ -662,11 +662,9 @@ class TestOneWalk:
         # pruning (a first path to fill) and without (the canonical walk)
         n = data.draw(st.integers(1, 9))
         g = draw_graph(data, n)
-        cells = [(1 << n) - 1]
-        jgraphs.search._refine(g.adj, cells, deque(cells))
         for path in ([], None):
             found = []
-            first, *rest = jgraphs.search._leaves(g, cells, path, found)
+            first, *rest = jgraphs.search._leaves(g, [(1 << n) - 1], path, found)
             for leaf in rest:
                 assert not check_automorphism(g, Perm(jgraphs.search._leaf_map(first, leaf)))
             assert all(check_automorphism(g, p) for p in found)
@@ -933,6 +931,13 @@ class TestFindIsomorphism:
     def test_different_sizes(self):
         assert find_isomorphism(complete_graph(3), complete_graph(4)) is None
 
+    def test_root_trace_stops_before_any_descent(self, monkeypatch):
+        # J(7,3) is 12-regular and K(7,3) 4-regular, so the two root
+        # refinements differ and neither walk descends
+        refines = count_calls(monkeypatch, "_refine")
+        assert find_isomorphism(johnson_graph(7, 3), kneser_graph(7, 3)) is None
+        assert len(refines) == 2
+
     def test_deep_path_needs_no_recursion(self):
         # the first path individualizes 599 vertices, one level each
         g = Graph(600, [0] * 600)
@@ -1091,8 +1096,9 @@ class TestHarvest:
             return automorphism_group(h).generators
 
         deque(jgraphs.search._leaves(h, cells_h, path, harvest=harvest), maxlen=0)
-        # once, on the first pick after the walk's (n + 1)-th refinement
-        assert fired == [h.n + 1]
+        # once, on the first pick after the walk's (n + 1)-th branch
+        # refinement, which follows the root's
+        assert fired == [h.n + 2]
 
     # seeded shuffles whose walk runs past n refinements before it meets a
     # leaf that maps g onto h; on the unions, a walk that also jumped back
