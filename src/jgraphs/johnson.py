@@ -10,9 +10,12 @@ is the unique common neighbour (within its layer) of its back-neighbours,
 which pins down every automorphism from its restriction to one closed
 neighbourhood; and the full automorphism group has order n! when
 n != 2m and 2 * n! when n = 2m, the extra factor coming from set
-complementation.  The verifier checks the induced Sym(n) and the extra
-factor by that structure, and reads |Stab(x)| = |Aut| / |orbit(x)| from
-its one automorphism search.
+complementation.  The verifier takes that order from two bounds and runs
+no search of J(n, m): the induced Sym(n), doubled by complementation when
+n = 2m, is the lower bound, and because every vertex past the first layer
+is pinned by its back-neighbours, a vertex stabilizer embeds in the
+automorphism group of its neighbourhood, whose order C(n, m) times is the
+upper bound.  Its one automorphism search runs on that neighbourhood.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .graphs import (
     bits,
     complete_bipartite,
     distance_partition,
+    induced_subgraph,
     johnson_graph,
     line_graph,
 )
@@ -349,8 +353,16 @@ def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> Transiti
     """
     if aut.degree != g.n:
         raise ValueError(f"group degree {aut.degree} != vertex count {g.n}")
-    gens = [p.images for p in aut.generators]
-    vertex = len(aut.orbit(0)) == g.n
+    base = aut.base[0] if aut.base else 0
+    stabilizer = [p.images for p in aut.base_stabilizer_generators]
+    return _transitivity(g, [p.images for p in aut.generators], base, stabilizer, deadline)
+
+
+def _transitivity(g: Graph, gens, base: int, stabilizer, deadline) -> TransitivityProfile:
+    """The flags of transitivity_profile for the group generated by the
+    image tuples ``gens``, given image tuples ``stabilizer`` that generate
+    its stabilizer of the vertex ``base``."""
+    vertex = _orbit_mask(gens, 1) == (1 << g.n) - 1
     edges = g.edges()
     # a generator that fixes both ends of an edge fixes the edge
     movers = [[] for _ in range(g.n)]
@@ -372,9 +384,7 @@ def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> Transiti
     edge = seen == set(edges)
     distance = vertex
     if distance:
-        b = aut.base[0] if aut.base else 0
-        stabilizer = [p.images for p in aut.base_stabilizer_generators]
-        masks = distance_partition(g, b).masks
+        masks = distance_partition(g, base).masks
         unreachable = (1 << g.n) - 1 - sum(masks)  # the layers are disjoint
         for mask in (*masks, unreachable):
             _check_deadline(deadline)
@@ -454,24 +464,34 @@ def verify_johnson_aut(
 ) -> VerificationReport:
     """Run the full structure verification for J(n, m) and report.
 
-    Asserted checks: the automorphism group order (n!, doubled when
-    n = 2m); injectivity of the induced ground-set action; the lifts of
-    (0 1) and (0 ... n-1), and for n = 2m the complementation map, are
-    automorphisms; for n = 2m the complementation map is an involution
-    outside the induced copy of Sym(n), commutes with it, and extends it
-    to twice the order; the vertex stabilizer has index C(n, m) and
-    respects the bipartite automorphism bound; layer-two-and-beyond
-    intersection uniqueness (asserted only for n >= 6, m >= 3, recorded
-    otherwise); and vertex, edge and distance transitivity.  The induced
-    Sym(n) is checked by the structure argument, with no sampling and no
-    group of degree C(n, m) built from bare generators; ``seed`` is only
+    The order of Aut(J(n, m)) comes from two bounds, with no search of
+    J(n, m) and no group of degree C(n, m) built.  Lower bound: the lifts
+    of (0 1) and (0 ... n-1) are automorphisms, the induced action is
+    injective, and the two generate order n! on the n ground points; for
+    n = 2m the complementation map is an involution outside the induced
+    copy of Sym(n) that commutes with it, which doubles the order.  Upper
+    bound: every vertex at layer two and beyond around vertex 0 is the
+    unique common neighbour, inside its layer, of its back-neighbours, so
+    an automorphism that fixes N[0] pointwise is the identity and Stab(0)
+    embeds in Aut(G[N(0)]); hence |Aut| <= C(n, m) |Aut(G[N(0)])|
+    (``stabilizer_index``).  The one automorphism search runs on the
+    m(n - m) vertices of G[N(0)], and its order is checked against
+    Whitney's |Aut(L(K_{m,n-m}))| = |Aut(K_{m,n-m})| (``stabilizer_bound``).
+    ``aut_order`` passes when both bounds hold and meet at n!, doubled
+    when n = 2m.  The report's ``aut_order`` is the upper bound and its
+    ``stabilizer_order`` is |Aut(G[N(0)])|.
+
+    Transitivity under a subgroup of Aut implies it under Aut, so the
+    vertex and edge orbits are taken under the lifts of (0 1) and
+    (0 ... n-1), and the distance layers around vertex 0 = {0, ..., m-1}
+    under the lifts of (0 1), (0 ... m-1), (m m+1) and (m ... n-1), which
+    generate its stabilizer in the induced Sym(n).
+
+    Layer-two-and-beyond intersection uniqueness is asserted only for
+    n >= 6, m >= 3 and recorded otherwise; ``all_sources`` widens its
+    sweep from vertex 0 to every vertex, and the upper bound reads vertex
+    0's part of it on every pair.  Nothing is sampled; ``seed`` is only
     recorded in the report.
-    One search builds the group; stabilizer orders are read from it by
-    orbit-stabilizer, so ``all_sources`` widens the sources, not the search.
-    For the same reason ``stabilizer_index`` and ``stabilizer_bound``
-    follow from ``aut_order`` and ``vertex_transitive``: |Stab(x)| is
-    |Aut| / C(n, m).  They gain content of their own only with an upper
-    bound on |Stab(x)| from the neighbourhood, |Aut(L(K_{m,n-m}))|.
 
     ``deadline`` is a ``time.monotonic()`` instant, None for no limit.  It
     is checked at every search node and between phases, last before the
@@ -483,15 +503,7 @@ def verify_johnson_aut(
     checks = []
     g = johnson_graph(n, m, cap=cap)
     _check_deadline(deadline)
-    aut = automorphism_group(g, cap=cap, deadline=deadline)
-    _check_deadline(deadline)
     expected = 2 * factorial(n) if n == 2 * m else factorial(n)
-    checks.append(CheckResult(
-        "aut_order",
-        aut.order == expected,
-        True,
-        f"computed {aut.order}, expected {expected}",
-    ))
 
     # Every non-trivial normal subgroup of Sym(n) holds the 3-cycles when
     # n >= 5 and (0 1)(2 3) when n = 4, so lifts of those decide the kernel.
@@ -533,16 +545,17 @@ def verify_johnson_aut(
             True,
             "complementation squares to the identity and is not the identity",
         ))
-        ground_order = PermGroup([swap, cycle], n).order
-        subgroup = injective and ground_order == factorial(n)
-        checks.append(CheckResult(
-            "induced_subgroup_order",
-            subgroup,
-            True,
-            f"(0 1) and (0 ... {n - 1}) generate order {ground_order} on the {n} ground "
-            f"points, expected {factorial(n)}; the action is faithful "
-            f"(induced_action_injective), so their two lifts generate the same order",
-        ))
+    ground_order = PermGroup([swap, cycle], n).order
+    subgroup = injective and ground_order == factorial(n)
+    checks.append(CheckResult(
+        "induced_subgroup_order",
+        subgroup,
+        True,
+        f"(0 1) and (0 ... {n - 1}) generate order {ground_order} on the {n} ground "
+        f"points, expected {factorial(n)}; the action is faithful "
+        f"(induced_action_injective), so their two lifts generate the same order",
+    ))
+    if n == 2 * m:
         # The sets through T = {0, ..., m-2} share exactly T, and their images
         # under the map induced by theta share exactly theta(T).
         masks, index = _colex_index(n, m)
@@ -575,26 +588,9 @@ def verify_johnson_aut(
             f"exactly one coset, so with induced_maps_are_automorphisms the four checks "
             f"above give a group of {2 * factorial(n)} automorphisms",
         ))
+    lower = all(c.passed for c in checks)  # every check so far is part of the lower bound
 
     sources = range(g.n) if all_sources else [0]
-    orbit_size = {x: len(orbit) for orbit in aut.orbits() for x in orbit}
-    stab_orders = [aut.order // orbit_size[x] for x in sources]
-    bound = bipartite_aut_order(m, n - m)
-    checks.append(CheckResult(
-        "stabilizer_index",
-        all(aut.order == so * g.n for so in stab_orders),
-        True,
-        f"stabilizer order {stab_orders[0]} times {g.n} vertices matches the group order "
-        f"({len(stab_orders)} source(s))",
-    ))
-    checks.append(CheckResult(
-        "stabilizer_bound",
-        all(so <= bound for so in stab_orders),
-        True,
-        f"stabilizer order {stab_orders[0]} vs bipartite bound {bound}; equality: "
-        f"{all(so == bound for so in stab_orders)}",
-    ))
-
     in_hypothesis = n >= 6 and m >= 3
     deep_total = deep_unique = 0
     first_total = first_unique = 0
@@ -610,11 +606,29 @@ def verify_johnson_aut(
             else:
                 first_total += masks[d].bit_count()
                 first_unique += unique
+        if x == 0:
+            rigid = deep_unique == deep_total
+    neighbourhood, _ = induced_subgraph(g, bits(g.adj[0]))
+    local = automorphism_group(neighbourhood, cap=cap, deadline=deadline).order
+    bound = bipartite_aut_order(m, n - m)
+    checks.append(CheckResult(
+        "stabilizer_index",
+        rigid,
+        True,
+        f"each vertex at layer >= 2 around vertex 0 is pinned by its back-neighbours: {rigid}; "
+        f"then Stab(0) embeds in Aut(G[N(0)]), so |Aut| <= {g.n} x {local} = {g.n * local}",
+    ))
+    checks.append(CheckResult(
+        "stabilizer_bound",
+        local == bound,
+        True,
+        f"|Aut(G[N(0)])| = {local} vs |Aut(L(K_{{{m},{n - m}}}))| = {bound} (Whitney)",
+    ))
     checks.append(CheckResult(
         "intersection_uniqueness",
         deep_unique == deep_total,
         in_hypothesis,
-        f"layers >= 2: {deep_unique}/{deep_total} unique over {len(stab_orders)} source(s)"
+        f"layers >= 2: {deep_unique}/{deep_total} unique over {len(sources)} source(s)"
         + ("" if in_hypothesis else "; recorded only, outside the n >= 6, m >= 3 hypothesis"),
     ))
     checks.append(CheckResult(
@@ -625,7 +639,9 @@ def verify_johnson_aut(
         f"there is the whole first layer",
     ))
 
-    profile = transitivity_profile(g, aut, deadline=deadline)
+    fixers = [(0, 1), tuple(range(m)), (m, m + 1), tuple(range(m, n))]  # all fix vertex 0
+    stabilizer = [induced_action(Perm.from_cycles(n, c), n, m).images for c in fixers]
+    profile = _transitivity(g, [f.images for f in lifts], 0, stabilizer, deadline)
     checks.append(CheckResult("vertex_transitive", profile.vertex, True, "single vertex orbit"))
     checks.append(CheckResult("edge_transitive", profile.edge, True, "single edge orbit"))
     checks.append(CheckResult(
@@ -635,6 +651,12 @@ def verify_johnson_aut(
         "vertex-transitive, and the stabilizer of one vertex is transitive on each of its "
         "distance layers (Brouwer-Cohen-Neumaier criterion)",
     ))
+    checks.insert(0, CheckResult(
+        "aut_order",
+        lower and rigid and g.n * local == expected,
+        True,
+        f"lower bound {expected}: {lower}; upper bound {g.n * local}: {rigid}; expected {expected}",
+    ))
 
     _check_deadline(deadline)
     return VerificationReport(
@@ -642,9 +664,9 @@ def verify_johnson_aut(
         m=m,
         vertex_count=g.n,
         degree=g.degree(0),
-        aut_order=aut.order,
+        aut_order=g.n * local,
         expected_order=expected,
-        stabilizer_order=stab_orders[0],
+        stabilizer_order=local,
         stabilizer_bound=bound,
         checks=tuple(checks),
         seed=seed,

@@ -261,17 +261,17 @@ class TestVerify:
         assert doc[0]["n"] == 6 and doc[0]["m"] == 3
 
     def test_time_limit_stops_a_worker_thread(self, validator, tmp_path):
-        # J(14,7) runs well past 5 s unlimited; the deadline ends it at
-        # 0.2 s, so the report is a timeout entry within the 5 s bound
+        # J(16,8) takes seconds unlimited; the deadline, checked after its
+        # build, ends it, so the report is a timeout entry within the 5 s bound
         start = time.monotonic()
         code, doc = self.verify_in_thread(
-            validator, tmp_path, "--n", "14", "--m", "7", "--time-limit", "0.2"
+            validator, tmp_path, "--n", "16", "--m", "8", "--cap", "13000", "--time-limit", "0.2"
         )
         assert time.monotonic() - start < 5
         assert code == 3
         assert doc == [{
             "status": "timeout", "tool_version": __version__,
-            "n": 14, "m": 7, "time_limit_seconds": 0.2,
+            "n": 16, "m": 8, "time_limit_seconds": 0.2,
         }]
 
     def test_zero_time_limit_disables_the_limit(self, capsys, validator):

@@ -256,11 +256,12 @@ class TestIntersectionWitness:
             unique_intersection_witness(Graph(2, [0, 0]), 0, 1)
 
 
-class TestLocalReconstruction:
-    # every pair the verifier covers up to n = 10, m = 2 and n < 6 included
-    PAIRS = [(n, m) for n in range(4, 11) for m in range(2, n // 2 + 1)]
+# every pair the verifier covers up to n = 10, m = 2 and n < 6 included
+VALID_PAIRS = [(n, m) for n in range(4, 11) for m in range(2, n // 2 + 1)]
 
-    @pytest.mark.parametrize("n, m", PAIRS)
+
+class TestLocalReconstruction:
+    @pytest.mark.parametrize("n, m", VALID_PAIRS)
     def test_identity_seed_gives_identity(self, n, m):
         # rigid outside the paper's n >= 6, m >= 3 hypothesis too, where the
         # sweep of layers >= 2 is recorded, not asserted, and still passes
@@ -532,7 +533,8 @@ EVEN_CHECKS = [
     "edge_transitive",
     "distance_transitive",
 ]
-ODD_CHECKS = EVEN_CHECKS[:3] + EVEN_CHECKS[8:]  # no n = 2m block
+# no n = 2m block, but the order of the ground-set generators
+ODD_CHECKS = EVEN_CHECKS[:3] + EVEN_CHECKS[4:5] + EVEN_CHECKS[8:]
 
 
 class TestVerifyReport:
@@ -542,12 +544,20 @@ class TestVerifyReport:
         assert rep.aut_order == 1440 and rep.expected_order == 1440
         assert rep.stabilizer_order == 72  # 2 * (3!)^2
         assert [c.name for c in rep.checks] == EVEN_CHECKS
+        assert rep.check("stabilizer_index").detail.endswith("|Aut| <= 20 x 72 = 1440")
+        assert rep.check("stabilizer_bound").detail == (
+            "|Aut(G[N(0)])| = 72 vs |Aut(L(K_{3,3}))| = 72 (Whitney)"
+        )
 
     def test_odd_pair_has_no_complement_block(self):
         rep = verify_johnson_aut(7, 3)
         assert rep.passed and rep.aut_order == 5040
         assert [c.name for c in rep.checks] == ODD_CHECKS
         assert rep.stabilizer_order == 144  # 3! * 4!
+        assert rep.check("stabilizer_index").detail.endswith("|Aut| <= 35 x 144 = 5040")
+        assert rep.check("stabilizer_bound").detail == (
+            "|Aut(G[N(0)])| = 144 vs |Aut(L(K_{3,4}))| = 144 (Whitney)"
+        )
 
     def test_m2_uniqueness_recorded_not_asserted(self):
         rep = verify_johnson_aut(5, 2)
@@ -613,8 +623,9 @@ class TestVerifyReport:
             "intersection_uniqueness_first_layer",
         ]} == {
             "stabilizer_index":
-                "stabilizer order 1152 times 70 vertices matches the group order (70 source(s))",
-            "stabilizer_bound": "stabilizer order 1152 vs bipartite bound 1152; equality: True",
+                "each vertex at layer >= 2 around vertex 0 is pinned by its back-neighbours: "
+                "True; then Stab(0) embeds in Aut(G[N(0)]), so |Aut| <= 70 x 1152 = 80640",
+            "stabilizer_bound": "|Aut(G[N(0)])| = 1152 vs |Aut(L(K_{4,4}))| = 1152 (Whitney)",
             "intersection_uniqueness": "layers >= 2: 3710/3710 unique over 70 source(s)",
             "intersection_uniqueness_first_layer":
                 "layer 1: 0/1120 unique; recorded only, the intersection there is the whole "
@@ -650,12 +661,37 @@ class TestVerifyReport:
 
     @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3), (8, 4)])
     def test_stabilizer_order_matches_coloured_search(self, n, m):
-        # an independent coloured search per source against orbit-stabilizer
+        # a coloured search of J(n, m) per source against the neighbourhood's group
         g = johnson_graph(n, m)
         order = verify_johnson_aut(n, m).stabilizer_order
         for x in (0, g.n // 2, g.n - 1):
             rest = [v for v in range(g.n) if v != x]
             assert automorphism_group(g, colors=[[x], rest]).order == order, x
+
+    @pytest.mark.parametrize("n,m", VALID_PAIRS)
+    def test_aut_order_matches_the_search(self, n, m):
+        # the two bounds against a search of the whole graph, which the verifier never runs
+        assert verify_johnson_aut(n, m).aut_order == automorphism_group(johnson_graph(n, m)).order
+
+    @pytest.mark.parametrize("n,m", [(14, 7), (15, 5)])
+    def test_independent_oracles(self, n, m):
+        # the ground-set order and the neighbourhood's shape, re-checked outside the engine
+        nx = pytest.importorskip("networkx")
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        ground = combinatorics.PermutationGroup([
+            combinatorics.Permutation([[0, 1]], size=n),
+            combinatorics.Permutation([list(range(n))], size=n),
+        ])
+        assert ground.order() == math.factorial(n)
+        g = nx.Graph(johnson_graph(n, m).edges())
+        local = g.subgraph(g[0])
+        assert local.number_of_nodes() == m * (n - m)
+        assert nx.vf2pp_is_isomorphic(
+            local, nx.line_graph(nx.complete_bipartite_graph(m, n - m))
+        )
+        rep = verify_johnson_aut(n, m)
+        assert rep.passed and rep.aut_order == rep.expected_order
+        assert rep.expected_order == math.factorial(n) * (2 if n == 2 * m else 1)
 
     def test_rejects_invalid_parameters(self):
         for n, m in [(3, 1), (5, 1), (5, 3), (6, 4)]:
@@ -671,8 +707,9 @@ class TestVerifyReport:
 
 class TestVerifyDeadline:
     def test_short_deadline_raises(self):
+        # J(16,8) takes seconds; its build alone runs far past the limit
         with pytest.raises(TimeLimitExceeded):
-            verify_johnson_aut(12, 6, deadline=time.monotonic() + 0.01)
+            verify_johnson_aut(16, 8, cap=13000, deadline=time.monotonic() + 0.01)
 
     @pytest.mark.parametrize("all_sources", [False, True])
     def test_deadline_none_changes_nothing(self, all_sources):
@@ -682,7 +719,8 @@ class TestVerifyDeadline:
         assert a == b
 
     @pytest.mark.parametrize("phase", [
-        "johnson_graph", "automorphism_group", "distance_partition", "transitivity_profile",
+        "johnson_graph", "induced_action", "distance_partition", "induced_subgraph",
+        "automorphism_group", "_transitivity",
     ])
     def test_overrun_in_any_phase_raises(self, monkeypatch, phase):
         # a fake clock that one phase moves past the deadline: the check
@@ -789,10 +827,16 @@ class TestVerifyArgument:
             jgraphs.johnson, "complementation_map", lambda m: conjugate(real_complement(m))
         )
         rep = verify_johnson_aut(n, m)
+        # the transitivity checks read the same lifts, so the edge orbit runs
+        # onto non-edges; for n = 2m sigma swaps vertex 0 with its complement,
+        # both fixed by the stabilizer lifts, so the distance layers survive
         assert [c.name for c in rep.checks if not c.passed] == [
+            "aut_order",
             "induced_maps_are_automorphisms",
             *(["full_group_order_with_complement_map"] if n == 2 * m else []),
             "intersection_uniqueness_first_layer",
+            "edge_transitive",
+            *([] if n == 2 * m else ["distance_transitive"]),
         ]
         self.assert_fails(capsys, n, m, "induced_maps_are_automorphisms")
 
@@ -802,15 +846,36 @@ class TestVerifyArgument:
             return automorphism_group(g, colors=[[0], range(1, g.n)], cap=cap, deadline=deadline)
 
         monkeypatch.setattr(jgraphs.johnson, "automorphism_group", stabilizer)
-        # vertex 0 is its own orbit, so the whole faked group is its stabilizer
-        assert verify_johnson_aut(n, m).stabilizer_order == bipartite_aut_order(m, n - m)
-        self.assert_fails(capsys, n, m, "stabilizer_index", "aut_order", "vertex_transitive")
+        # the one search is the neighbourhood's, transitive on its m(n - m)
+        # vertices: the fake returns the stabilizer of one of them
+        order = verify_johnson_aut(n, m).stabilizer_order
+        assert order == bipartite_aut_order(m, n - m) // (m * (n - m))
+        self.assert_fails(capsys, n, m, "stabilizer_bound", "aut_order")
 
     @pytest.mark.parametrize("n,m", [(6, 3), (7, 3)])
     def test_halved_bipartite_bound_fails(self, monkeypatch, capsys, n, m):
         real = jgraphs.johnson.bipartite_aut_order
         monkeypatch.setattr(jgraphs.johnson, "bipartite_aut_order", lambda s, t: real(s, t) // 2)
         self.assert_fails(capsys, n, m, "stabilizer_bound")
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3)])
+    def test_unpinned_vertex_fails_the_upper_bound(self, monkeypatch, capsys, n, m):
+        # one layer-2 vertex around 0 gets a second candidate, so Stab(0) need
+        # not embed in the neighbourhood's group; for m = 2 the bound still
+        # rests on the sweep, though intersection_uniqueness is only recorded
+        real = jgraphs.johnson._meet
+
+        def loose(g, masks, d, v, images, image_masks):
+            meet = real(g, masks, d, v, images, image_masks)
+            if masks[0] == 1 and d == 2 and v == (masks[2] & -masks[2]).bit_length() - 1:
+                others = masks[2] & ~(1 << v)
+                meet |= others & -others
+            return meet
+
+        monkeypatch.setattr(jgraphs.johnson, "_meet", loose)
+        rep = verify_johnson_aut(n, m)
+        assert rep.aut_order == rep.expected_order  # the bound's value is not what fails
+        self.assert_fails(capsys, n, m, "stabilizer_index", "aut_order")
 
     def test_no_sampling_and_no_bare_chain_of_vertex_degree(self, monkeypatch):
         built = []
@@ -829,5 +894,7 @@ class TestVerifyArgument:
         state = random.getstate()
         rep = verify_johnson_aut(8, 4)
         assert rep.passed and random.getstate() == state
-        assert (8, False) in built and (70, True) in built
-        assert all(seeded for degree, seeded in built if degree == 70)
+        # the ground set's chain and the search of the 16-vertex neighbourhood;
+        # nothing of the 70 vertices
+        assert (8, False) in built and built.count((16, True)) == 1
+        assert 70 not in [degree for degree, _ in built]
