@@ -25,6 +25,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict
+from functools import cache
 
 from ._version import __version__
 from .graphs import (
@@ -347,6 +348,7 @@ def _add_common(parser, *, seed=False, time_limit=None) -> None:
                             help=f"wall-clock seconds {time_limit}, 0 disables")
 
 
+@cache  # built once per process; each parse_args call fills a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jgraphs",

@@ -334,7 +334,8 @@ class TransitivityProfile:
 
 
 def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> TransitivityProfile:
-    """Vertex, edge and distance transitivity flags under the given group.
+    """Vertex, edge and distance transitivity flags under the given group,
+    which must act by automorphisms of g.
 
     Vertex and edge transitivity hold when the vertices, respectively the
     edges, form a single orbit.  Distance transitivity means that every
@@ -345,52 +346,61 @@ def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> Transiti
     at a fixed distance from b (Brouwer, Cohen & Neumaier, Distance-Regular
     Graphs, 1989), which is what is checked: b is the group's first base
     point and the stabilizer comes from its stabilizer chain, so one BFS
-    replaces orbit closure over all ordered pairs.
+    replaces orbit closure over all ordered pairs.  The same BFS gives the
+    edge flag in the common case: a vertex-transitive group whose
+    stabilizer of b is transitive on the neighbours of b is transitive on
+    arcs, hence on edges.  The converse fails (Holt, J. Graph Theory 5,
+    1981), so any other group has its edge orbit closed edge by edge.
 
     Past ``deadline``, a ``time.monotonic()`` instant checked at every
-    edge of the edge pass and every layer of the distance pass,
+    layer of the distance pass and every edge of the edge pass,
     TimeLimitExceeded is raised; None means no limit.
     """
     if aut.degree != g.n:
         raise ValueError(f"group degree {aut.degree} != vertex count {g.n}")
-    base = aut.base[0] if aut.base else 0
+    masks = distance_partition(g, aut.base[0] if aut.base else 0).masks
     stabilizer = [p.images for p in aut.base_stabilizer_generators]
-    return _transitivity(g, [p.images for p in aut.generators], base, stabilizer, deadline)
+    return _transitivity(g, [p.images for p in aut.generators], masks, stabilizer, deadline)
 
 
-def _transitivity(g: Graph, gens, base: int, stabilizer, deadline) -> TransitivityProfile:
-    """The flags of transitivity_profile for the group generated by the
-    image tuples ``gens``, given image tuples ``stabilizer`` that generate
-    its stabilizer of the vertex ``base``."""
+def _transitivity(g: Graph, gens, masks, stabilizer, deadline) -> TransitivityProfile:
+    """The flags of transitivity_profile for the group of automorphisms
+    generated by the image tuples ``gens``, given the BFS layer ``masks``
+    of g around a vertex b and image tuples ``stabilizer`` that generate a
+    subgroup of its stabilizer of b.
+
+    The stabilizer's orbits are taken on layer 0 (so it must fix b), on
+    each further layer and on the unreachable set, up to the first that
+    splits.  A vertex-transitive group is arc-transitive when layer 1 does
+    not split, and acts on an edgeless graph when b has no layer 1; only
+    otherwise is the edge orbit closed over the edge list.
+    """
     vertex = _orbit_mask(gens, 1) == (1 << g.n) - 1
-    edges = g.edges()
-    # a generator that fixes both ends of an edge fixes the edge
-    movers = [[] for _ in range(g.n)]
-    for gen in gens:
-        for v, w in enumerate(gen):
-            if v != w:
-                movers[v].append(gen)
-    seen = set(edges[:1])
-    queue = edges[:1]
-    while queue:
+    layers = (*masks, (1 << g.n) - 1 - sum(masks)) if vertex else ()  # the layers are disjoint
+    whole = 0  # the leading layers that are single orbits of the stabilizer
+    for mask in layers:
         _check_deadline(deadline)
-        a, b = queue.pop()
-        for gen in (*movers[a], *movers[b]):
-            c, d = gen[a], gen[b]
-            e = (c, d) if c < d else (d, c)
-            if e not in seen:
-                seen.add(e)
-                queue.append(e)
-    edge = seen == set(edges)
-    distance = vertex
-    if distance:
-        masks = distance_partition(g, base).masks
-        unreachable = (1 << g.n) - 1 - sum(masks)  # the layers are disjoint
-        for mask in (*masks, unreachable):
+        if mask and _orbit_mask(stabilizer, mask & -mask) != mask:
+            break
+        whole += 1
+    distance = vertex and whole == len(layers)
+    edge = vertex and (len(masks) == 1 or whole > 1)
+    if not edge:
+        edges = g.edges()
+        # a generator that fixes both ends of an edge fixes the edge
+        movers = [[gen for gen in gens if gen[v] != v] for v in range(g.n)]
+        seen = set(edges[:1])
+        queue = edges[:1]
+        while queue:
             _check_deadline(deadline)
-            if mask and _orbit_mask(stabilizer, mask & -mask) != mask:
-                distance = False
-                break
+            a, b = queue.pop()
+            for gen in (*movers[a], *movers[b]):
+                c, d = gen[a], gen[b]
+                e = (c, d) if c < d else (d, c)
+                if e not in seen:
+                    seen.add(e)
+                    queue.append(e)
+        edge = seen == set(edges)
     return TransitivityProfile(vertex=vertex, edge=edge, distance=distance)
 
 
@@ -482,10 +492,14 @@ def verify_johnson_aut(
     ``stabilizer_order`` is |Aut(G[N(0)])|.
 
     Transitivity under a subgroup of Aut implies it under Aut, so the
-    vertex and edge orbits are taken under the lifts of (0 1) and
-    (0 ... n-1), and the distance layers around vertex 0 = {0, ..., m-1}
-    under the lifts of (0 1), (0 ... m-1), (m m+1) and (m ... n-1), which
-    generate its stabilizer in the induced Sym(n).
+    vertex orbit is taken under the lifts of (0 1) and (0 ... n-1), and
+    the distance layers around vertex 0 = {0, ..., m-1}, read from the
+    sweep's BFS, under the lifts of (0 1), (0 ... m-1), (m m+1) and
+    (m ... n-1), which generate its stabilizer in the induced Sym(n).
+    Vertex-transitive lifts that are automorphisms
+    (``induced_maps_are_automorphisms``) and whose stabilizer is
+    transitive on layer 1 act arc-transitively, so ``edge_transitive``
+    asks for both, and on J(n, m) no edge is listed.
 
     Layer-two-and-beyond intersection uniqueness is asserted only for
     n >= 6, m >= 3 and recorded otherwise; ``all_sources`` widens its
@@ -608,6 +622,7 @@ def verify_johnson_aut(
                 first_unique += unique
         if x == 0:
             rigid = deep_unique == deep_total
+            around = masks
     neighbourhood, _ = induced_subgraph(g, bits(g.adj[0]))
     local = automorphism_group(neighbourhood, cap=cap, deadline=deadline).order
     bound = bipartite_aut_order(m, n - m)
@@ -641,9 +656,12 @@ def verify_johnson_aut(
 
     fixers = [(0, 1), tuple(range(m)), (m, m + 1), tuple(range(m, n))]  # all fix vertex 0
     stabilizer = [induced_action(Perm.from_cycles(n, c), n, m).images for c in fixers]
-    profile = _transitivity(g, [f.images for f in lifts], 0, stabilizer, deadline)
+    profile = _transitivity(g, [f.images for f in lifts], around, stabilizer, deadline)
     checks.append(CheckResult("vertex_transitive", profile.vertex, True, "single vertex orbit"))
-    checks.append(CheckResult("edge_transitive", profile.edge, True, "single edge orbit"))
+    # the arc argument reads the lifts as automorphisms
+    checks.append(CheckResult(
+        "edge_transitive", automorphisms and profile.edge, True, "arc-transitive"
+    ))
     checks.append(CheckResult(
         "distance_transitive",
         profile.distance,

@@ -226,12 +226,12 @@ class TestVerify:
 
     def test_timeout_marks_pair_and_exits_resource(self, capsys, validator):
         code, doc, _ = run_json(
-            capsys, validator, "verify", "--n", "12", "--m", "6",
+            capsys, validator, "verify", "--n", "16", "--m", "8", "--cap", "13000",
             "--time-limit", "0.05",
         )
         assert code == 3
         assert doc[0]["status"] == "timeout"
-        assert doc[0]["n"] == 12 and doc[0]["m"] == 6
+        assert doc[0]["n"] == 16 and doc[0]["m"] == 8
 
     @staticmethod
     def verify_in_thread(validator, tmp_path, *argv):

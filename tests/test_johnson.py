@@ -402,8 +402,8 @@ class TestTransitivityProfile:
             transitivity_profile(complete_graph(3), PermGroup([], 4))
 
     def test_deadline(self):
-        # K5 stops in the edge pass; the edgeless E5 has none and stops in
-        # the distance pass
+        # both groups are vertex-transitive, so K5 and the edgeless E5 both
+        # stop in the layer pass, before any edge is listed
         for g in (complete_graph(5), Graph(5, [0] * 5)):
             aut = automorphism_group(g)
             with pytest.raises(TimeLimitExceeded):
@@ -460,6 +460,15 @@ def _shrikhande():
     ])
 
 
+def _holt():
+    # Z9 x Z3 with (x, y) adjacent to (4x +- 1, y + 1): vertex- and
+    # edge-transitive, not arc-transitive (Holt, J. Graph Theory 5, 1981)
+    return Graph.from_edges(27, [
+        (3 * x + y, 3 * ((4 * x + s) % 9) + (y + 1) % 3)
+        for x in range(9) for y in range(3) for s in (1, -1)
+    ])
+
+
 PRISM = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 TWO_K4 = Graph.from_edges(8, [(a, b) for a, b in itertools.combinations(range(8), 2) if a // 4 == b // 4])
@@ -483,6 +492,8 @@ ORACLE_CASES = {
     "C6": (_cycle(6), None, (True, True, True)),
     "C6 rotations": (_cycle(6), PermGroup([Perm([1, 2, 3, 4, 5, 0])], 6), (True, True, False)),
     "petersen": (kneser_graph(5, 2), None, (True, True, True)),
+    # its stabilizer splits the 4 neighbours in two, so the edge pass runs
+    "holt": (_holt(), None, (True, True, False)),
     "P3": (Graph.from_edges(3, [(0, 1), (1, 2)]), None, (False, True, False)),
     "K23": (complete_bipartite(2, 3), None, (False, True, False)),
     "K1": (complete_graph(1), None, (True, True, True)),
@@ -644,8 +655,18 @@ class TestVerifyReport:
         monkeypatch.setattr(jgraphs.johnson, "distance_partition", counting)
         rep = verify_johnson_aut(6, 3, all_sources=True)
         assert rep.passed
-        # the uniqueness sweep, plus one BFS for distance transitivity
-        assert sorted(sources[:20]) == list(range(20)) and len(sources) == 21
+        # one BFS per swept source; the transitivity checks read vertex 0's
+        assert sorted(sources) == list(range(20))
+
+    @pytest.mark.parametrize("n,m", VALID_PAIRS)
+    def test_no_edge_list(self, monkeypatch, n, m):
+        # edge transitivity comes from the arc argument, not an edge orbit
+        def no_edges(*args):
+            raise AssertionError("the verifier listed the edges")
+
+        monkeypatch.setattr(Graph, "edges", no_edges)
+        monkeypatch.setattr(jgraphs.graphs, "_edge_list", no_edges)
+        assert verify_johnson_aut(n, m).passed
 
     @pytest.mark.parametrize("all_sources", [False, True])
     def test_one_automorphism_search(self, monkeypatch, all_sources):
