@@ -24,7 +24,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import asdict
 from functools import cache
 
 from ._version import __version__
@@ -45,7 +44,6 @@ from .graphs import (
 from .johnson import (
     DEFAULT_SEED,
     _valid_pair,
-    distance_by_intersection,
     transitivity_profile,
     verify_johnson_aut,
 )
@@ -211,7 +209,7 @@ def cmd_aut(args) -> int:
         "order": str(aut.order),
         "generators": [p.cycle_string() for p in aut.generators],
         "orbit_sizes": [len(orbit) for orbit in aut.orbits()],
-        "transitivity": asdict(profile),
+        "transitivity": dict(vars(profile)),
     }
     _emit_json(report, args.out)
     return EXIT_OK
@@ -297,9 +295,10 @@ def cmd_dist(args) -> int:
     # pair when we know the input is a Johnson graph (family form only; a
     # graph6 file carries no label information)
     if checked:
-        labels = g.labels
+        m = g.labels[0].m
+        masks = [label.mask for label in g.labels]
         agrees = all(
-            d == distance_by_intersection(labels[u], labels[v])
+            d == m - (masks[u] & masks[v]).bit_count()
             for u, part in parts.items()
             for v, d in enumerate(part.dist)
         )

@@ -21,7 +21,7 @@ upper bound.  Its one automorphism search runs on that neighbourhood.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import factorial
 
 from ._version import __version__
@@ -49,11 +49,14 @@ def induced_action(theta: Perm, n: int, m: int) -> Perm:
     if theta.degree != n:
         raise ValueError(f"ground permutation degree {theta.degree} != {n}")
     masks, index = _colex_index(n, m)
+    lift = {1 << b: 1 << t for b, t in enumerate(theta.images)}  # bit -> image bit
     images = []
     for mask in masks:
         moved = 0
-        for b in bits(mask):
-            moved |= 1 << theta[b]
+        while mask:
+            low = mask & -mask
+            moved |= lift[low]
+            mask ^= low
         images.append(index[moved])
     return Perm(images)
 
@@ -454,7 +457,7 @@ class VerificationReport:
             "passed": self.passed,
             "seed": self.seed,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],
         }
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 from .graphs import Graph, bits
 
@@ -186,7 +187,12 @@ class PermGroup:
     pass: base points are the smallest points moved at each level, orbits
     are closed in ascending point order, and generators are processed in
     input order, so the base, the strong generators and the transversals
-    are reproducible.
+    are reproducible.  The pass stops once the partial chain has n - 1
+    levels and its order is n!, the largest of degree n.  That is exact:
+    the order of a partial chain is at most that of the group its
+    generators generate, so reaching n! proves the group is Sym(n) and the
+    chain complete, and no Schreier generator left unsifted can add a
+    generator.
 
     With ``base`` the generators must already form a strong generating
     set relative to it: for every i, those that fix ``base[:i]``
@@ -323,13 +329,16 @@ def _chain_order(levels, degree):
 
 
 def _schreier_sims(generators, identity):
+    n = len(identity)
     levels = []
     for g in generators:
         residue, stuck = _sift(levels, g.images, 0)
         if residue != identity:
             _place(levels, residue, stuck, identity)
     i = len(levels) - 1
-    while i >= 0:
+    # the partial chain's order is at most that of the group, so once it
+    # reaches n! the group is Sym(n) and no Schreier generator is left over
+    while i >= 0 and not (len(levels) == n - 1 and _chain_order(levels, n) == factorial(n)):
         jumped = _process_level(levels, i, identity)
         i = i - 1 if jumped is None else jumped
     return levels

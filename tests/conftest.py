@@ -1,4 +1,4 @@
-"""Shared test corpus and the acceptance summary hook.
+"""Shared test corpus, a call counter and the acceptance summary hook.
 
 CORPUS maps a short name to a constructed graph.  The small ones (at
 most 10 vertices) double as oracle targets for brute-force comparison;
@@ -11,7 +11,22 @@ the run so they show up even with output capture on.
 
 import pytest
 
+import jgraphs.search
+
 ACCEPTANCE_RECORDS: list[tuple[int, str]] = []
+
+
+def count_calls(monkeypatch, name, module=jgraphs.search):
+    """Count the calls to a function of a jgraphs module for one test."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -13,6 +14,7 @@ from jgraphs import (
     Graph,
     automorphism_group,
     complement,
+    complete_bipartite,
     complete_graph,
     distance_partition,
     johnson_graph,
@@ -128,6 +130,16 @@ class TestAut:
         assert doc["order"] == "120"
         assert doc["orbit_sizes"] == [10]
         assert doc["transitivity"] == {"vertex": True, "edge": True, "distance": True}
+
+    @pytest.mark.parametrize(
+        "graph", [johnson_graph(5, 2), complete_bipartite(3, 4), Graph(3, [0, 0, 0])]
+    )
+    def test_transitivity_is_the_profile_fields(self, capsys, validator, tmp_path, graph):
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(graph))
+        _, doc, _ = run_json(capsys, validator, "aut", str(path))
+        profile = transitivity_profile(graph, automorphism_group(graph))
+        assert doc["transitivity"] == dataclasses.asdict(profile)
 
     def test_j63_from_stdin(self, capsys, validator, monkeypatch):
         monkeypatch.setattr(
@@ -401,7 +413,12 @@ class TestDist:
     def test_distance_law_mismatch_exits_assertion(self, capsys, validator, monkeypatch):
         import jgraphs.cli
 
-        monkeypatch.setattr(jgraphs.cli, "distance_by_intersection", lambda u, v: 0)
+        def rotated(n, m, cap=None):
+            """J(n, m) with each vertex carrying the next vertex's label."""
+            g = johnson_graph(n, m, cap=cap)
+            return Graph(g.n, g.adj, g.labels[1:] + g.labels[:1])
+
+        monkeypatch.setattr(jgraphs.cli, "johnson_graph", rotated)
         code, doc, _ = run_json(capsys, validator, "dist", "johnson", "5", "2")
         assert code == 1 and doc["distance_law"] == "mismatch"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -90,6 +91,16 @@ class TestInducedAction:
         for _ in range(10):
             a = list(range(7)); rng.shuffle(a)
             assert check_automorphism(g, induced_action(Perm(a), 7, 3))
+
+    def test_matches_a_per_bit_oracle(self):
+        # each subset's elements moved one at a time, for every theta in Sym(5)
+        labels = [unrank_subset(r, 5, 2) for r in range(binomial(5, 2))]
+        for images in itertools.permutations(range(5)):
+            expected = [
+                rank_subset(SubsetLabel.from_elements(5, [images[e - 1] + 1 for e in s.elements()]))
+                for s in labels
+            ]
+            assert induced_action(Perm(images), 5, 2).images == tuple(expected)
 
     def test_subgroup_order_is_factorial(self):
         assert induced_subgroup(6, 3).order == math.factorial(6)
@@ -588,6 +599,12 @@ class TestVerifyReport:
         assert all(
             set(c) == {"name", "passed", "asserted", "detail"} for c in doc["checks"]
         )
+
+    @pytest.mark.parametrize("all_sources", [False, True])
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in VALID_PAIRS if n <= 8])
+    def test_json_checks_are_the_check_fields(self, n, m, all_sources):
+        rep = verify_johnson_aut(n, m, all_sources=all_sources)
+        assert rep.to_json_dict()["checks"] == [dataclasses.asdict(c) for c in rep.checks]
 
     def test_all_sources_sweep(self):
         rep = verify_johnson_aut(5, 2, all_sources=True)

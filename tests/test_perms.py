@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import jgraphs.perms
 from jgraphs import (
     Perm,
     PermGroup,
@@ -19,6 +20,8 @@ from jgraphs import (
     kneser_graph,
 )
 from jgraphs.graphs import Graph
+
+from conftest import count_calls
 
 
 def perms(degree):
@@ -253,6 +256,77 @@ class TestChainOrder:
     def test_consecutive_transpositions_of_degree_600(self):
         gens = [Perm.from_cycles(600, (i, i + 1)) for i in range(599)]
         assert PermGroup(gens, 600, base=range(599)).order == math.factorial(600)
+
+
+def family(kind, n):
+    """Generators of a named group of degree n (S2 wr S4 has degree 8)."""
+    if kind == "symmetric":
+        return [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]
+    if kind == "alternating":  # the 3-cycles (i i+1 i+2) generate Alt(n)
+        return [Perm.from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 2)]
+    if kind == "dihedral":
+        return [Perm.from_cycles(n, tuple(range(n))), Perm([-i % n for i in range(n)])]
+    # S2 wr S4: any swap inside the blocks {0, 1}, ..., {6, 7}, and Sym(4) on the blocks
+    return [
+        Perm.from_cycles(8, (0, 1)),
+        Perm.from_cycles(8, (0, 2, 4, 6), (1, 3, 5, 7)),
+        Perm.from_cycles(8, (0, 2), (1, 3)),
+    ]
+
+
+@st.composite
+def generator_sets(draw):
+    """A named group or 1-3 random permutations, of degree 2-9, relabelled
+    by a random permutation so that the base is not always 0, 1, ..."""
+    kind = draw(st.sampled_from(["random", "symmetric", "alternating", "dihedral", "wreath"]))
+    n = 8 if kind == "wreath" else draw(st.integers(2 if kind in ("random", "symmetric") else 3, 9))
+    if kind == "random":
+        gens = draw(st.lists(perms(n), min_size=1, max_size=3))
+    else:
+        gens = family(kind, n)
+    p = draw(perms(n))
+    return n, [compose(p, compose(g, inverse(p))) for g in gens]
+
+
+class TestSymmetricStop:
+    """Schreier-Sims stops once the partial chain's order reaches n!, the
+    largest order of degree n; sympy is the oracle on groups that reach it
+    and on groups that do not."""
+
+    @settings(deadline=None)
+    @given(generator_sets(), st.data())
+    def test_order_and_membership_match_sympy(self, drawn, data):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        n, gens = drawn
+        group = group_from_generators(gens, n)
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens]
+        )
+        assert group.order == oracle.order()
+        word = data.draw(st.lists(st.sampled_from(gens), max_size=6))
+        member = Perm.identity(n)
+        for g in word:
+            member = compose(g, member)
+        assert group.contains(member)
+        for p in [member, *data.draw(st.lists(perms(n), min_size=1, max_size=4))]:
+            assert group.contains(p) == oracle.contains(combinatorics.Permutation(list(p.images)))
+        if n <= 5:
+            elements = list(group.elements())
+            assert len(elements) == len(set(elements)) == group.order
+
+    @pytest.mark.parametrize("n", range(4, 19))
+    def test_standard_generators_keep_the_chain(self, n):
+        # base (0, 1, 2, n-2, ..., 3) and the per-level generator counts of the full pass
+        group = group_from_generators(family("symmetric", n), n)
+        assert group.base == (0, 1, 2, *range(n - 2, 2, -1))
+        assert [len(level.gens) for level in group._levels] == [2, 1, 1, *[2] * (n - 5), 1][:n - 1]
+        assert group.order == math.factorial(n)
+
+    def test_sifts_at_degree_10(self, monkeypatch):
+        sifts = count_calls(monkeypatch, "_sift", jgraphs.perms)
+        group = group_from_generators(family("symmetric", 10), 10)
+        assert group.order == math.factorial(10)
+        assert len(sifts) <= 150  # 493 without the stop, 115 with it
 
 
 class TestBruteForce:

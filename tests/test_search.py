@@ -37,7 +37,7 @@ import jgraphs.search
 from jgraphs.graphs import bits
 from jgraphs.perms import BRUTE_FORCE_LIMIT
 
-from conftest import build_corpus
+from conftest import build_corpus, count_calls
 
 
 def relabel(g: Graph, p: Perm) -> Graph:
@@ -140,19 +140,6 @@ def paley(p: int) -> Graph:
     return Graph.from_edges(
         p, [(a, b) for a, b in combinations(range(p), 2) if (b - a) % p in squares]
     )
-
-
-def count_calls(monkeypatch, name, module=jgraphs.search):
-    """Count the calls to a function of a jgraphs module for one test."""
-    calls = []
-    inner = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def networkx_graph(g: Graph):
