@@ -39,12 +39,13 @@ def _encode_size(n: int) -> str:
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no header, no trailing newline)."""
+    size = _encode_size(g.n)  # raises on an oversized graph before any row is read
     # column j holds rows 0..j-1, row 0 first: the low j bits of adj[j], reversed
     upper = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
     width = -(-len(upper) // 24) * 3  # whole base64 groups of 3 bytes
     word = int("0" + upper, 2) << (8 * width - len(upper))
     body = binascii.b2a_base64(word.to_bytes(width, "big"), newline=False)
-    return _encode_size(g.n) + body[: (len(upper) + 5) // 6].translate(_TO_GRAPH6).decode()
+    return size + body[: (len(upper) + 5) // 6].translate(_TO_GRAPH6).decode()
 
 
 def _graph6_size(text: str) -> tuple[int, str]:

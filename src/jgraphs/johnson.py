@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .perms import Perm, PermGroup, _orbit_mask, compose
 from .search import automorphism_group, check_automorphism
-from .subsets import SubsetLabel, intersection_size
+from .subsets import SubsetLabel, intersection_size, rank_subset
 
 DEFAULT_SEED = 1729
 
@@ -117,16 +117,11 @@ def neighborhood_iso(n: int, m: int, v: SubsetLabel) -> tuple[int, ...]:
         raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
     xs = v.elements()
     ys = v.complement().elements()
-    bip = complete_bipartite(m, n - m)
-    line, edge_map = line_graph(bip)
-    masks, index = _colex_index(n, m)
-    phi = []
-    for i, j in edge_map:
-        mask = (v.mask ^ (1 << (xs[i] - 1))) | (1 << (ys[j - m] - 1))
-        phi.append(index[mask])
+    line, edge_map = line_graph(complete_bipartite(m, n - m))
+    targets = [(v.mask ^ (1 << (xs[i] - 1))) | (1 << (ys[j - m] - 1)) for i, j in edge_map]
+    phi = tuple(rank_subset(SubsetLabel(n, mask)) for mask in targets)
     if len(set(phi)) != len(phi):
         raise RuntimeError("neighbourhood map failed to be injective")
-    targets = [masks[r] for r in phi]
     for mask in targets:
         if (mask & v.mask).bit_count() != m - 1:
             raise RuntimeError("neighbourhood map left the neighbourhood")
@@ -135,7 +130,7 @@ def neighborhood_iso(n: int, m: int, v: SubsetLabel) -> tuple[int, ...]:
             meets = (targets[a] & targets[b]).bit_count() == m - 1
             if meets != line.has_edge(a, b):
                 raise RuntimeError("neighbourhood map is not edge faithful")
-    return tuple(phi)
+    return phi
 
 
 def distance_by_intersection(u: SubsetLabel, v: SubsetLabel) -> int:
@@ -165,6 +160,28 @@ def _meet(g: Graph, masks, d: int, v: int, images, image_masks) -> int:
     for w in bits(g.adj[v] & masks[d - 1]):
         meet &= g.adj[images[w]]
     return meet
+
+
+def _propagate(g: Graph, masks, images, image_masks):
+    """Pin the vertices of layers 2 and up of ``masks``, layer by layer
+    and vertex by vertex in ascending order: u is pinned, and ``images[u]``
+    set, when its ``_meet`` is a single vertex not yet taken; the images of
+    layers 0 and 1 start taken, and an unpinned vertex keeps its image.
+    Returns the pinned count and the first offender (vertex, layer, meet
+    mask), or None when every vertex is pinned."""
+    taken = {images[u] for u in bits(sum(masks[:2]))}  # the layers are disjoint
+    pinned, offender = 0, None
+    for d in range(2, len(masks)):
+        for u in bits(masks[d]):
+            meet = _meet(g, masks, d, u, images, image_masks)
+            image = meet.bit_length() - 1
+            if meet.bit_count() == 1 and image not in taken:
+                images[u] = image
+                taken.add(image)
+                pinned += 1
+            elif offender is None:
+                offender = (u, d, meet)
+    return pinned, offender
 
 
 def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness:
@@ -267,8 +284,9 @@ def local_reconstruction(g: Graph, x: int, seed: PartialVertexMap) -> Perm:
     The seed must be defined on exactly {x} union N(x) and must preserve
     adjacency there.  Processing layers 2..D in order, each vertex's image
     is the unique common neighbour, inside the matching layer around the
-    image of x, of the images of its back-neighbours.  A non-singleton
-    candidate set raises ReconstructionError; a successful propagation is
+    image of x, of the images of its back-neighbours (``_propagate``).  The
+    first vertex without a single candidate, or whose candidate is already
+    taken, raises ReconstructionError; a successful propagation is
     returned only after passing check_automorphism.  With the identity
     seed this says an automorphism fixing a closed neighbourhood pointwise
     is the identity.
@@ -292,29 +310,16 @@ def local_reconstruction(g: Graph, x: int, seed: PartialVertexMap) -> Perm:
             f"layer profiles around {x} and {y} differ: "
             f"{dp.layer_sizes} vs {dp_image.layer_sizes}"
         )
-    images = dict(seed.items())
-    taken = set(images.values())
-    for d in range(2, len(dp.masks)):
-        for u in bits(dp.masks[d]):
-            candidates = _meet(g, dp.masks, d, u, images, dp_image.masks)
-            if candidates.bit_count() != 1:
-                raise ReconstructionError(
-                    f"vertex {u} at layer {d} has {candidates.bit_count()} candidates",
-                    vertex=u,
-                    layer=d,
-                    candidates=frozenset(bits(candidates)),
-                )
-            image = candidates.bit_length() - 1
-            if image in taken:
-                raise ReconstructionError(
-                    f"vertex {u} at layer {d} collides on image {image}",
-                    vertex=u,
-                    layer=d,
-                    candidates=frozenset([image]),
-                )
-            images[u] = image
-            taken.add(image)
-    result = Perm(tuple(images[v] for v in range(g.n)))
+    images = [seed[v] if v in seed else v for v in range(g.n)]
+    _, offender = _propagate(g, dp.masks, images, dp_image.masks)
+    if offender:
+        u, d, meet = offender
+        k = meet.bit_count()
+        fault = f"has {k} candidates" if k != 1 else f"collides on image {meet.bit_length() - 1}"
+        raise ReconstructionError(
+            f"vertex {u} at layer {d} {fault}", vertex=u, layer=d, candidates=frozenset(bits(meet))
+        )
+    result = Perm(images)
     if not check_automorphism(g, result):
         raise ReconstructionError("propagated map is not an automorphism")
     return result
@@ -611,20 +616,17 @@ def verify_johnson_aut(
     in_hypothesis = n >= 6 and m >= 3
     deep_total = deep_unique = 0
     first_total = first_unique = 0
-    identity = range(g.n)
+    identity = list(range(g.n))  # pinning under the identity writes u over u
     for x in sources:
         _check_deadline(deadline)
         masks = distance_partition(g, x).masks
-        for d in range(1, len(masks)):
-            unique = sum(_meet(g, masks, d, v, identity, masks) == 1 << v for v in bits(masks[d]))
-            if d >= 2:
-                deep_total += masks[d].bit_count()
-                deep_unique += unique
-            else:
-                first_total += masks[d].bit_count()
-                first_unique += unique
+        pinned, offender = _propagate(g, masks, identity, masks)
+        deep_total += sum(mask.bit_count() for mask in masks[2:])
+        deep_unique += pinned
+        first_total += masks[1].bit_count()
+        first_unique += sum(_meet(g, masks, 1, v, identity, masks) == 1 << v for v in bits(masks[1]))
         if x == 0:
-            rigid = deep_unique == deep_total
+            rigid = offender is None
             around = masks
     neighbourhood, _ = induced_subgraph(g, bits(g.adj[0]))
     local = automorphism_group(neighbourhood, cap=cap, deadline=deadline).order

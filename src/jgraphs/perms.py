@@ -10,7 +10,7 @@ classic silent bug, hence the explicit function instead of an operator.
 
 from __future__ import annotations
 
-from copy import deepcopy
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -273,9 +273,10 @@ class PermGroup:
     @cached_property
     def _transversals(self):
         """The chain with every level's transversal closed, built on first use."""
-        levels = deepcopy(self._levels)  # concurrent first calls never share a half-closed level
-        for i in range(len(levels)):
-            _close_orbit(levels, i)
+        levels = [copy(level) for level in self._levels]
+        for i, level in enumerate(levels):
+            level.trans = dict(level.trans)  # concurrent first calls never share a half-closed level
+            _close_orbit(levels, i)  # writes level i's trans alone
         return levels
 
     def elements(self):

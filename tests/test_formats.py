@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,19 @@ class TestGraph6Write:
         s = write_graph6(g)
         assert s[0] == chr(126)
         assert (ord(s[1]) - 63, ord(s[2]) - 63, ord(s[3]) - 63) == (0, 1, 62)
+
+    def test_oversized_graph_fails_before_any_row_is_read(self):
+        # a real graph this size takes seconds to build and its body would
+        # be about 33 GB, so a stand-in whose rows cannot be read is encoded
+        class RowRead(Exception):
+            pass
+
+        class Rows:
+            def __getitem__(self, j):
+                raise RowRead(j)
+
+        with pytest.raises(ValueError, match="graph6 encoding for n > 258047 not supported"):
+            write_graph6(SimpleNamespace(n=258048, adj=Rows()))
 
 
 class TestGraph6Parse:

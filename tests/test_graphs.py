@@ -137,11 +137,14 @@ class TestCopies:
     def test_perm_group(self, round_trip):
         aut = automorphism_group(johnson_graph(6, 3))
         copied = round_trip(aut)
+        before = [dict(level.trans) for level in copied._levels]
         assert copied.order == aut.order == 1440
         assert copied.generators == aut.generators and copied.base == aut.base
         a, b = aut.generators[:2]
         assert copied.contains(compose(a, b)) and copied.contains(aut.generators[-1])
         assert not copied.contains(Perm.from_cycles(aut.degree, (0, 1)))
+        # contains closes copies of the levels, never the group's own
+        assert [level.trans for level in copied._levels] == before
         # the transversals that contains built on first use copy with the group
         built = round_trip(copied)
         assert "_transversals" in vars(built)

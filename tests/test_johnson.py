@@ -29,6 +29,7 @@ from jgraphs import (
     distance_partition,
     group_from_generators,
     induced_action,
+    intersection_size,
     johnson_graph,
     kneser_graph,
     line_graph,
@@ -46,6 +47,8 @@ from jgraphs import (
     __version__,
 )
 from jgraphs.cli import main as cli_main
+
+from conftest import count_calls
 
 
 def standard_sym_generators(n):
@@ -214,6 +217,17 @@ class TestNeighborhoodIso:
         with pytest.raises(ValueError):
             neighborhood_iso(6, 3, SubsetLabel.from_elements(6, [1, 2]))
 
+    def test_ranks_targets_without_the_colex_index(self, monkeypatch):
+        # C(40, 20) is about 1.4e11 subsets; only the 400 targets are ranked
+        def whole_index(n, m):
+            raise AssertionError("built the whole colex index")
+
+        monkeypatch.setattr(jgraphs.johnson, "_colex_index", whole_index)
+        v = SubsetLabel.from_elements(40, range(1, 21))
+        phi = neighborhood_iso(40, 20, v)
+        assert len(set(phi)) == len(phi) == 400
+        assert all(intersection_size(unrank_subset(r, 40, 20), v) == 19 for r in phi)
+
 
 class TestDistanceLaw:
     @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3)])
@@ -328,6 +342,15 @@ class TestLocalReconstruction:
             local_reconstruction(g, 0, PartialVertexMap(g, {0: 0, 2: 3, 3: 2}))
         err = info.value
         assert (err.vertex, err.layer, err.candidates) == (5, 2, frozenset({5}))
+
+    def test_vertex_without_a_candidate(self):
+        # around 5 the seed swaps 3 and 4, so 0 (behind 2 and 3) needs a
+        # layer-2 neighbour of 2 and 4, and 0 is the only layer-2 vertex
+        g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)])
+        with pytest.raises(ReconstructionError, match="vertex 0 at layer 2 has 0 candidates") as info:
+            local_reconstruction(g, 5, PartialVertexMap(g, {5: 5, 1: 1, 2: 2, 3: 4, 4: 3}))
+        err = info.value
+        assert (err.vertex, err.layer, err.candidates) == (0, 2, frozenset())
 
     def test_propagated_bijection_that_is_no_automorphism(self):
         # every candidate set is a singleton and no image repeats, yet the
@@ -697,6 +720,16 @@ class TestVerifyReport:
         assert verify_johnson_aut(6, 3, all_sources=all_sources).passed
         assert calls == [None]
 
+    def test_one_propagation_routine(self, monkeypatch):
+        # the sweep propagates once per source, local_reconstruction once
+        calls = count_calls(monkeypatch, "_propagate", jgraphs.johnson)
+        assert verify_johnson_aut(6, 3, all_sources=True).passed
+        assert len(calls) == 20
+        del calls[:]
+        g = johnson_graph(6, 3)
+        local_reconstruction(g, 0, PartialVertexMap.identity_on(g, [0, *g.neighbors(0)]))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3), (8, 4)])
     def test_stabilizer_order_matches_coloured_search(self, n, m):
         # a coloured search of J(n, m) per source against the neighbourhood's group
@@ -914,6 +947,10 @@ class TestVerifyArgument:
         rep = verify_johnson_aut(n, m)
         assert rep.aut_order == rep.expected_order  # the bound's value is not what fails
         self.assert_fails(capsys, n, m, "stabilizer_index", "aut_order")
+        # the same rule pins vertices for local_reconstruction
+        g = johnson_graph(n, m)
+        with pytest.raises(ReconstructionError, match="has 2 candidates"):
+            local_reconstruction(g, 0, PartialVertexMap.identity_on(g, [0, *g.neighbors(0)]))
 
     def test_no_sampling_and_no_bare_chain_of_vertex_degree(self, monkeypatch):
         built = []

@@ -1,5 +1,6 @@
 """Argument checks that no other test reaches: each call raises the given
-exception with a message that names the fault."""
+exception with a message that names the fault.  Then the public paths that
+no other test runs, each with the value it returns."""
 
 import re
 
@@ -14,6 +15,7 @@ from jgraphs import (
     SubsetLabel,
     automorphism_group,
     bipartite_aut_order,
+    canonical_form,
     check_automorphism,
     complementation_map,
     complete_bipartite,
@@ -93,12 +95,16 @@ CASES = [
     # johnson
     ("induced_action degree", lambda: induced_action(Perm.identity(3), 4, 2), ValueError,
      "ground permutation degree 3 != 4"),
+    ("induced_action subset size", lambda: induced_action(Perm.identity(5), 5, 0), ValueError,
+     "subset size must be in 1..4, got 0"),
     ("complementation_map", lambda: complementation_map(0), ValueError,
      "subset size must be positive, got 0"),
     ("whitney_lift non-edge", lambda: whitney_lift(Perm.identity(3), P3, [(0, 1), (0, 2)]),
      ValueError, "edge map entry (0,2) is not an edge of the base graph"),
     ("neighborhood_iso label", lambda: neighborhood_iso(5, 2, SubsetLabel(6, 0b11)), ValueError,
      "label ground set 6 != 5"),
+    ("neighborhood_iso subset size", lambda: neighborhood_iso(5, 0, SubsetLabel(5, 0)), ValueError,
+     "subset size must be in 1..4, got 0"),
     ("PartialVertexMap range", lambda: PartialVertexMap(K3, {0: 3}), ValueError,
      "assignment 0 -> 3 outside 0..2"),
     ("restriction degree", lambda: PartialVertexMap.restriction(K3, Perm.identity(2), [0]),
@@ -120,6 +126,23 @@ CASES = [
 def test_rejects_invalid_argument(call, exception, message):
     with pytest.raises(exception, match=re.escape(message)):
         call()
+
+
+SEED = PartialVertexMap(P3, {0: 2, 1: 1})
+
+RETURNS = [
+    ("Graph repr", lambda: repr(P3), "Graph(n=3, edges=2)"),
+    ("PermGroup repr", lambda: repr(PermGroup([Perm([1, 0, 2])], 3)), "PermGroup(degree=3, order=2)"),
+    ("CanonicalForm repr", lambda: repr(canonical_form(P3)), "CanonicalForm(n=3, edges=2)"),
+    ("PartialVertexMap contains", lambda: (1 in SEED, 2 in SEED), (True, False)),
+    ("PartialVertexMap len", lambda: len(SEED), 2),
+]
+
+
+@pytest.mark.parametrize("call, expected", [case[1:] for case in RETURNS],
+                         ids=[case[0] for case in RETURNS])
+def test_returns(call, expected):
+    assert call() == expected
 
 
 def test_verify_isomorphism_on_different_vertex_counts_is_false():
