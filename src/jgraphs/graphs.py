@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .subsets import SubsetLabel, binomial, unrank_subset
@@ -129,6 +129,13 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows, labels)
+
+    @cached_property
+    def nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each vertex as an ascending tuple, built on
+        first read and kept.  It is no dataclass field: equality, hashing
+        and ``repr`` never see it."""
+        return tuple(tuple(bits(row)) for row in self.adj)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -167,10 +167,9 @@ def _propagate(g: Graph, masks, images, image_masks):
     and vertex by vertex in ascending order: u is pinned, and ``images[u]``
     set, when its ``_meet`` is a single vertex not yet taken; the images of
     layers 0 and 1 start taken, and an unpinned vertex keeps its image.
-    Returns the pinned count and the first offender (vertex, layer, meet
-    mask), or None when every vertex is pinned."""
+    A generator: it yields each offender (vertex, layer, meet mask) as it
+    meets it, so a caller that needs only the first stops the walk there."""
     taken = {images[u] for u in bits(sum(masks[:2]))}  # the layers are disjoint
-    pinned, offender = 0, None
     for d in range(2, len(masks)):
         for u in bits(masks[d]):
             meet = _meet(g, masks, d, u, images, image_masks)
@@ -178,10 +177,8 @@ def _propagate(g: Graph, masks, images, image_masks):
             if meet.bit_count() == 1 and image not in taken:
                 images[u] = image
                 taken.add(image)
-                pinned += 1
-            elif offender is None:
-                offender = (u, d, meet)
-    return pinned, offender
+            else:
+                yield u, d, meet
 
 
 def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness:
@@ -311,7 +308,7 @@ def local_reconstruction(g: Graph, x: int, seed: PartialVertexMap) -> Perm:
             f"{dp.layer_sizes} vs {dp_image.layer_sizes}"
         )
     images = [seed[v] if v in seed else v for v in range(g.n)]
-    _, offender = _propagate(g, dp.masks, images, dp_image.masks)
+    offender = next(_propagate(g, dp.masks, images, dp_image.masks), None)
     if offender:
         u, d, meet = offender
         k = meet.bit_count()
@@ -620,13 +617,14 @@ def verify_johnson_aut(
     for x in sources:
         _check_deadline(deadline)
         masks = distance_partition(g, x).masks
-        pinned, offender = _propagate(g, masks, identity, masks)
-        deep_total += sum(mask.bit_count() for mask in masks[2:])
-        deep_unique += pinned
+        deep = sum(mask.bit_count() for mask in masks[2:])
+        offenders = sum(1 for _ in _propagate(g, masks, identity, masks))
+        deep_total += deep
+        deep_unique += deep - offenders
         first_total += masks[1].bit_count()
         first_unique += sum(_meet(g, masks, 1, v, identity, masks) == 1 << v for v in bits(masks[1]))
         if x == 0:
-            rigid = offender is None
+            rigid = not offenders
             around = masks
     neighbourhood, _ = induced_subgraph(g, bits(g.adj[0]))
     local = automorphism_group(neighbourhood, cap=cap, deadline=deadline).order

@@ -9,6 +9,14 @@ relabelling (the counts are invariants), which is what makes cross-branch
 cell pairing and the canonical search correct; the (size, smallest member)
 order is not, so it stays a presentation rule only.
 
+Refinement reads a graph's adjacency rows as bit masks: a splitter's
+rows are added into bit planes of its neighbour counts, in one pass that
+also ORs their union, and a single vertex's row is its one plane.  Maps
+are read the other way: the leaf checks behind check_automorphism and
+verify_isomorphism, and the canonical relabelling, map each neighbour
+of ``Graph.nbrs``, the graph's neighbour view built on first read, in
+place of walking a row bit by bit.
+
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
 vertex order.  The first path takes the smallest candidate at every level
@@ -113,26 +121,6 @@ class ColoredPartition:
         return all(len(cell) == 1 for cell in self.cells)
 
 
-def _planes(adj, splitter):
-    """Count bit planes of a splitter: the rows of its vertices added with
-    big-int half-adders, so that a vertex's neighbour count into the
-    splitter has bit i set exactly where plane i holds the vertex.  A
-    single vertex adds nothing: its row is its one plane."""
-    planes = []
-    m = splitter
-    while m:
-        low = m & -m
-        m ^= low
-        carry = adj[low.bit_length() - 1]
-        for i, plane in enumerate(planes):
-            planes[i], carry = plane ^ carry, plane & carry
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-    return planes
-
-
 def _cut(cell, planes):
     """The (count, fragment) pairs of a cell under a splitter's count
     planes, in ascending count order: the cell is cut by each plane from
@@ -155,8 +143,12 @@ def _refine(adj, cells, queue, trace=None, expect=None):
     """Refine an ordered partition (cell masks) to its coarsest equitable
     refinement; the queue holds pending splitter masks.
 
-    Each splitter is read through its count planes (``_planes``), built
-    once; their union holds every vertex with a neighbour in it.  Only the
+    Each splitter is read through its count bit planes, built once: the
+    rows of its vertices are added with big-int half-adders, so that a
+    vertex's neighbour count into the splitter has bit i set exactly where
+    plane i holds the vertex.  A single vertex's one plane is its row, with
+    no adder pass.  The union of the rows, ORed while they are added,
+    holds every vertex with a neighbour in the splitter.  Only the
     non-singleton cells that meet the union are tested: any other cell has
     count 0 for every vertex, so it cannot split.  A cell that every plane
     meets in nothing or in all of it does not split, and the planes that
@@ -179,10 +171,27 @@ def _refine(adj, cells, queue, trace=None, expect=None):
         if cell & (cell - 1):
             active |= cell
     while queue and active:
-        planes = _planes(adj, queue.popleft())
-        hit = 0
-        for plane in planes:
-            hit |= plane
+        splitter = queue.popleft()
+        if splitter & (splitter - 1):
+            planes = []
+            hit = 0
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                carry = adj[low.bit_length() - 1]
+                hit |= carry
+                i = 0
+                for plane in planes:
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                    i += 1
+                else:
+                    planes.append(carry)
+        else:
+            hit = adj[splitter.bit_length() - 1]
+            planes = [hit]
         hit &= active
         k = 0
         while hit:
@@ -190,13 +199,15 @@ def _refine(adj, cells, queue, trace=None, expect=None):
             if cell & hit:
                 hit &= ~cell
                 count = 0
-                for i, plane in enumerate(planes):
+                bit = 1
+                for plane in planes:
                     meet = plane & cell
                     if meet:
                         if meet != cell:
                             parts = _cut(cell, planes)
                             break
-                        count |= 1 << i
+                        count |= bit
+                    bit <<= 1
                 else:
                     parts = None
                 if keep:
@@ -235,15 +246,13 @@ def _target_cell(cells):
     return best
 
 
-def _maps_edges(adj_a, adj_b, images, points):
-    """True when images maps the row of every vertex in the mask
-    ``points`` onto the row of its image.  ``points`` holds every point
-    that images moves, so only a row's bits inside it are mapped."""
-    fixed = ~points
+def _maps_edges(nbrs_a, adj_b, images, points):
+    """True when images maps the neighbours of every vertex in the mask
+    ``points``, read from the view ``nbrs_a``, onto the row of its image.
+    ``points`` holds every point that images moves."""
     for v in bits(points):
-        row = adj_a[v]
-        mapped = row & fixed
-        for w in bits(row & points):
+        mapped = 0
+        for w in nbrs_a[v]:
             mapped |= 1 << images[w]
         if mapped != adj_b[images[v]]:
             return False
@@ -362,7 +371,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
                     continue
                 second = (cells[k] ^ current) & -(cells[k] ^ current)
                 p = Perm.from_cycles(g.n, (current.bit_length() - 1, second.bit_length() - 1))
-                if _maps_edges(adj, adj, p.images, current | second):
+                if _maps_edges(g.nbrs, adj, p.images, current | second):
                     found.append(p)
                     support.append(current | second)
                     stack.pop()
@@ -400,7 +409,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
                 for a, b in zip(first, branch):
                     if a != b:
                         moved |= a
-                if _maps_edges(adj, adj, images, moved):
+                if _maps_edges(g.nbrs, adj, images, moved):
                     found.append(Perm(images))
                     support.append(moved)
                 else:
@@ -459,14 +468,14 @@ def check_automorphism(g: Graph, p: Perm) -> bool:
     """
     if p.degree != g.n:
         raise ValueError(f"permutation degree {p.degree} != vertex count {g.n}")
-    return _maps_edges(g.adj, g.adj, p.images, _support(p))
+    return _maps_edges(g.nbrs, g.adj, p.images, _support(p))
 
 
 def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     """True exactly when p maps g onto h edge for edge."""
     if g.n != h.n or p.degree != g.n:
         return False
-    return _maps_edges(g.adj, h.adj, p.images, (1 << g.n) - 1)
+    return _maps_edges(g.nbrs, h.adj, p.images, (1 << g.n) - 1)
 
 
 def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadline=None) -> PermGroup:
@@ -559,16 +568,15 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     """
     _check_cap(g.n, cap)
     n = g.n
-    adj = g.adj
     known = []
     positions = [1 << i for i in range(n)]
     best_key = best_leaf = None
     for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline):
         relabel = _leaf_map(leaf, positions)
         rows = [0] * n
-        for v in range(n):
+        for v, nbrs in enumerate(g.nbrs):
             mapped = 0
-            for w in bits(adj[v]):
+            for w in nbrs:
                 mapped |= 1 << relabel[w]
             rows[relabel[v]] = mapped
         key = tuple(rows)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -28,6 +29,8 @@ from jgraphs import (
     line_graph,
     neighborhood,
 )
+
+from conftest import build_corpus
 
 
 def test_bits_iterates_ascending():
@@ -115,6 +118,30 @@ class TestGraph:
         g = complete_graph(4)
         assert g.neighbors(0) == frozenset({1, 2, 3})
         assert neighborhood(g, 0) == frozenset({1, 2, 3})
+
+
+class TestNeighbourView:
+    def test_rows_as_ascending_tuples(self):
+        for name, g in build_corpus().items():
+            assert g.nbrs == tuple(tuple(bits(row)) for row in g.adj), name
+
+    def test_built_once(self):
+        g = johnson_graph(6, 3)
+        assert "nbrs" not in vars(g)
+        view = g.nbrs
+        assert g.nbrs is view
+
+    def test_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj", "labels"]
+        g, h = johnson_graph(6, 3), johnson_graph(6, 3)
+        g.nbrs  # g's view is built, h's is not
+        assert "nbrs" not in vars(h)
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        with pytest.raises(AttributeError):
+            g.nbrs = ()
+        for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert copied == h and hash(copied) == hash(h)
+            assert copied.nbrs == h.nbrs
 
 
 def _pickled(value):

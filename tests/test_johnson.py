@@ -730,6 +730,15 @@ class TestVerifyReport:
         local_reconstruction(g, 0, PartialVertexMap.identity_on(g, [0, *g.neighbors(0)]))
         assert len(calls) == 1
 
+    def test_failing_reconstruction_stops_at_its_first_offender(self, monkeypatch):
+        # every vertex of layer 2 of K40,40 has 39 candidates: one meet, not 39
+        g = complete_bipartite(40, 40)
+        seed = PartialVertexMap.identity_on(g, [0, *g.neighbors(0)])
+        meets = count_calls(monkeypatch, "_meet", jgraphs.johnson)
+        with pytest.raises(ReconstructionError, match="vertex 1 at layer 2 has 39 candidates"):
+            local_reconstruction(g, 0, seed)
+        assert len(meets) == 1
+
     @pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (7, 3), (8, 4)])
     def test_stabilizer_order_matches_coloured_search(self, n, m):
         # a coloured search of J(n, m) per source against the neighbourhood's group

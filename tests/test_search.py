@@ -418,7 +418,6 @@ class TestRefinementTrace:
             e for e in combinations(range(12), 2) if e not in {(0, 1), (0, 2), (0, 3), (4, 5)}
         ])
         full = (1 << 12) - 1
-        assert len(jgraphs.search._planes(g.adj, full)) == 4
         trace = []
         cells = [full]
         jgraphs.search._refine(g.adj, cells, deque([full]), trace)
@@ -428,6 +427,22 @@ class TestRefinementTrace:
         jgraphs.search._refine(complete_graph(12).adj, [full], deque([full]), trace)
         assert trace == [(0, [(11, 12)])]
         self.assert_kernel_matches_reference(complete_graph(12).adj, [full], [full], altered=0)
+
+    @pytest.mark.parametrize("name,make,counts", [
+        ("Paley(29)", lambda: paley(29), (7, 7)),
+        ("Kneser(7,3)", lambda: kneser_graph(7, 3), (28, 28)),
+        ("L(K7)", lambda: line_graph(complete_graph(7))[0], (28, 28)),
+        ("C60", lambda: cycle_union([60]), (6, 6)),
+        ("Chang", chang, (33, 35)),
+    ])
+    def test_search_refinement_counts(self, monkeypatch, name, make, counts):
+        # the kernel's speed must not come from a different walk
+        g = make()
+        refines = count_calls(monkeypatch, "_refine")
+        automorphism_group(g)
+        group_calls = len(refines)
+        canonical_form(g)
+        assert (group_calls, len(refines) - group_calls) == counts
 
 
 class TestAutomorphismGroup:
@@ -878,6 +893,28 @@ class TestCheckers:
         perms.append(Perm(data.draw(st.permutations(range(n)))))
         for p in perms:
             assert check_automorphism(g, p) == maps_edge_set(g, g, p), p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_isomorphism_check_agrees_with_edge_sets(self, data):
+        # g is h relabelled by q, so q maps h onto g and its inverse g onto
+        # h; a check that read h's neighbours for g's, or g's rows for h's,
+        # would reject these witnesses
+        n = data.draw(st.integers(2, 20))
+        density = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        h = random_graph(random.Random(data.draw(st.integers(0, 2**32))), n, density)
+        q = data.draw(st.permutations(range(n)))
+        g = relabel(h, Perm(q))
+        back = [0] * n
+        for u, image in enumerate(q):
+            back[image] = u
+        assert verify_isomorphism(g, h, Perm(back))
+        assert verify_isomorphism(h, g, Perm(q))
+        wrong = [Perm(data.draw(st.permutations(range(n)))) for _ in range(3)]
+        t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        wrong.append(compose(Perm(back), Perm.from_cycles(n, tuple(t))))
+        for p in wrong:
+            assert verify_isomorphism(g, h, p) == maps_edge_set(g, h, p), p
 
 
 class TestFindIsomorphism:
