@@ -137,6 +137,12 @@ class Graph:
         and ``repr`` never see it."""
         return tuple(tuple(bits(row)) for row in self.adj)
 
+    def __getstate__(self):
+        """The fields alone, for pickle and copy: the neighbour view and
+        the search record of ``search.automorphism_group`` stay behind and
+        are rebuilt when read."""
+        return {"n": self.n, "adj": self.adj, "labels": self.labels}
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

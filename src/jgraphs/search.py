@@ -13,9 +13,10 @@ Refinement reads a graph's adjacency rows as bit masks: a splitter's
 rows are added into bit planes of its neighbour counts, in one pass that
 also ORs their union, and a single vertex's row is its one plane.  Maps
 are read the other way: the leaf checks behind check_automorphism and
-verify_isomorphism, and the canonical relabelling, map each neighbour
-of ``Graph.nbrs``, the graph's neighbour view built on first read, in
-place of walking a row bit by bit.
+verify_isomorphism, and the canonical relabelling, read each row from
+``Graph.nbrs``, the graph's neighbour view built on first read, and add
+up its neighbours' images from a table of one-bit masks built once per
+map, in place of walking a row bit by bit.
 
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
@@ -58,6 +59,17 @@ it.  The canonical form is the leaf with the least relabelled adjacency
 over one walk with no trace pruning, which prunes by the automorphisms it
 finds and by every map between two leaves with equal relabelled
 adjacency.
+
+A graph searched once is not searched again for the same answer.  A
+completed automorphism_group(g) with no colouring keeps its group, its
+first path and its first leaf in one private entry of g's instance dict,
+as ``Graph.nbrs`` is kept: a later automorphism_group(g) returns that
+group, and find_isomorphism(g, h) walks h along a copy of the recorded
+path in place of walking g, and harvests h's record when h has one.
+These are the very group, path and leaf a new walk would produce, so the
+record never changes an output.  canonical_form never reads it: seeded
+with the recorded generators, its walk can end on another leaf, and its
+output would then depend on what ran before.
 """
 
 from __future__ import annotations
@@ -146,15 +158,17 @@ def _refine(adj, cells, queue, trace=None, expect=None):
     Each splitter is read through its count bit planes, built once: the
     rows of its vertices are added with big-int half-adders, so that a
     vertex's neighbour count into the splitter has bit i set exactly where
-    plane i holds the vertex.  A single vertex's one plane is its row, with
-    no adder pass.  The union of the rows, ORed while they are added,
-    holds every vertex with a neighbour in the splitter.  Only the
+    plane i holds the vertex.  The union of the rows, ORed while they are
+    added, holds every vertex with a neighbour in the splitter.  Only the
     non-singleton cells that meet the union are tested: any other cell has
     count 0 for every vertex, so it cannot split.  A cell that every plane
     meets in nothing or in all of it does not split, and the planes that
     hold it spell its one count, so no vertex is read.  Any other cell is
     cut by the planes from the highest down, which leaves its fragments in
-    ascending count order.
+    ascending count order.  A single vertex's one plane is its row, read
+    with no adder pass and no plane loop: a reached cell inside the row
+    has count 1, and any other splits into the part outside the row
+    (count 0) and the part inside it (count 1).
 
     Testing cell k gives a signature ``(k, pairs)``, the cell's position
     and its ascending (count, fragment size) pairs.  Signatures are
@@ -190,26 +204,31 @@ def _refine(adj, cells, queue, trace=None, expect=None):
                 else:
                     planes.append(carry)
         else:
-            hit = adj[splitter.bit_length() - 1]
-            planes = [hit]
+            hit = row = adj[splitter.bit_length() - 1]
+            planes = None
         hit &= active
         k = 0
         while hit:
             cell = cells[k]
             if cell & hit:
                 hit &= ~cell
-                count = 0
-                bit = 1
-                for plane in planes:
-                    meet = plane & cell
-                    if meet:
-                        if meet != cell:
-                            parts = _cut(cell, planes)
-                            break
-                        count |= bit
-                    bit <<= 1
+                if planes is None:
+                    meet = row & cell
+                    count = 1
+                    parts = None if meet == cell else [(0, cell ^ meet), (1, meet)]
                 else:
-                    parts = None
+                    count = 0
+                    bit = 1
+                    for plane in planes:
+                        meet = plane & cell
+                        if meet:
+                            if meet != cell:
+                                parts = _cut(cell, planes)
+                                break
+                            count |= bit
+                        bit <<= 1
+                    else:
+                        parts = None
                 if keep:
                     if parts:
                         sig = (k, [(c, part.bit_count()) for c, part in parts])
@@ -249,12 +268,17 @@ def _target_cell(cells):
 def _maps_edges(nbrs_a, adj_b, images, points):
     """True when images maps the neighbours of every vertex in the mask
     ``points``, read from the view ``nbrs_a``, onto the row of its image.
-    ``points`` holds every point that images moves."""
+    ``points`` holds every point that images moves.
+
+    The neighbours are mapped by table lookups, with no Python loop per
+    neighbour: the table, built once per call, holds each point's image
+    as a one-bit mask, and a row's image is the sum of its neighbours'
+    entries.  images is always a permutation (Perm validates its images,
+    and a leaf map is a bijection), so the entries are distinct powers of
+    two and their sum is their OR."""
+    get = [1 << i for i in images].__getitem__
     for v in bits(points):
-        mapped = 0
-        for w in nbrs_a[v]:
-            mapped |= 1 << images[w]
-        if mapped != adj_b[images[v]]:
+        if sum(map(get, nbrs_a[v])) != adj_b[images[v]]:
             return False
     return True
 
@@ -266,6 +290,12 @@ def _support(perm):
         if p != q:
             mask |= 1 << p
     return mask
+
+
+def _swaps_twins(adj, a, b):
+    """True exactly when the transposition (a b) is an automorphism: the
+    rows of a and b agree outside the pair."""
+    return not (adj[a] ^ adj[b]) & ~(1 << a | 1 << b)
 
 
 def _is_twin_cell(adj, cell):
@@ -318,11 +348,12 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
     as soon as the walk returns to it from its first child: the
     transpositions of twins fix its prefix and map that child's subtree
     onto every sibling's.  On the first path the walk first appends the
-    transposition of the cell's two smallest members, once it is checked
-    to be an automorphism.  Individualizing a twin splits no other cell
-    and leaves the rest of its cell as the next target, so these
-    transpositions generate the cell's symmetric group and stay strong
-    for the base.  Off the first path no transposition is appended:
+    transposition of the cell's two smallest members, once
+    ``_swaps_twins`` has checked it on their two rows.  Individualizing a
+    twin splits no other cell and leaves the rest of its cell as the next
+    target, so these transpositions generate the cell's symmetric group
+    and stay strong for the base.  Off the first path no transposition is
+    appended:
     handing one over at every twin node left every output and refinement
     count as it was, yet each extra generator lengthens every later
     orbit-pruning pass (the canonical form of two 6-cycles and twenty
@@ -370,9 +401,9 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
                     stack.pop()
                     continue
                 second = (cells[k] ^ current) & -(cells[k] ^ current)
-                p = Perm.from_cycles(g.n, (current.bit_length() - 1, second.bit_length() - 1))
-                if _maps_edges(g.nbrs, adj, p.images, current | second):
-                    found.append(p)
+                a, b = current.bit_length() - 1, second.bit_length() - 1
+                if _swaps_twins(adj, a, b):
+                    found.append(Perm.from_cycles(g.n, (a, b)))
                     support.append(current | second)
                     stack.pop()
                     continue
@@ -478,6 +509,9 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     return _maps_edges(g.nbrs, h.adj, p.images, (1 << g.n) - 1)
 
 
+_RECORD = "_aut_search"  # g's instance dict entry: (group, first path, first leaf)
+
+
 def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadline=None) -> PermGroup:
     """The automorphism group of g, optionally restricted to colour-preserving
     permutations when an initial colouring is given.
@@ -489,11 +523,24 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
 
     Past ``deadline``, a ``time.monotonic()`` instant checked at every
     search node, TimeLimitExceeded is raised; None means no limit.
+
+    With no colouring, a completed search is recorded on g (its group,
+    first path and first leaf; see the module docstring), and a later call
+    returns the recorded group with no search, so no node checks the
+    deadline.  A search stopped by its deadline records nothing.  The
+    record is no dataclass field, and pickles and copies leave it out.
     """
     _check_cap(g.n, cap)
+    if colors is None and _RECORD in vars(g):
+        return vars(g)[_RECORD][0]
     path, found = [], []
-    deque(_leaves(g, _initial_cells(g, colors), path, found, deadline), maxlen=0)
-    return PermGroup(found, g.n, base=tuple(v for v, _ in path[1:]))
+    leaves = _leaves(g, _initial_cells(g, colors), path, found, deadline)
+    leaf = next(leaves)
+    deque(leaves, maxlen=0)
+    group = PermGroup(found, g.n, base=tuple(v for v, _ in path[1:]))
+    if colors is None:
+        vars(g)[_RECORD] = (group, path, leaf)
+    return group
 
 
 def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=None):
@@ -508,6 +555,11 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     generators, so a walk that meets no leaf of h matching g's path is
     pruned too.  ``deadline`` is checked at every search node as in
     automorphism_group, the harvest's included.
+
+    When an uncoloured automorphism_group(g) has completed, g is not
+    walked: its recorded first leaf and a copy of its recorded path stand
+    in for the walk, and the harvest returns h's recorded group when h
+    has one.  Either way the witness is the same.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -515,8 +567,13 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     # so its trace is empty whatever its size: compare vertex counts here
     if g.n != h.n:
         return None
-    path = []
-    leaves = _leaves(g, [(1 << g.n) - 1], path, deadline=deadline)
+    record = vars(g).get(_RECORD)
+    if record is None:
+        path = []
+        leaves = _leaves(g, [(1 << g.n) - 1], path, deadline=deadline)
+    else:
+        # a copy, so that the walk over h never writes to the record
+        path, leaves = list(record[1]), iter([record[2]])
     harvest = lambda: automorphism_group(h, deadline=deadline).generators
     others = _leaves(h, [(1 << h.n) - 1], path, deadline=deadline, harvest=harvest)
     if others is None:
@@ -572,13 +629,12 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     positions = [1 << i for i in range(n)]
     best_key = best_leaf = None
     for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline):
+        # the leaf is a bijection, so the table lookups of _maps_edges apply
         relabel = _leaf_map(leaf, positions)
+        get = [1 << i for i in relabel].__getitem__
         rows = [0] * n
         for v, nbrs in enumerate(g.nbrs):
-            mapped = 0
-            for w in nbrs:
-                mapped |= 1 << relabel[w]
-            rows[relabel[v]] = mapped
+            rows[relabel[v]] = sum(map(get, nbrs))
         key = tuple(rows)
         if best_key is None or key < best_key:
             best_key, best_leaf = key, leaf

@@ -143,6 +143,14 @@ class TestNeighbourView:
             assert copied == h and hash(copied) == hash(h)
             assert copied.nbrs == h.nbrs
 
+    def test_pickle_size_is_the_value_alone(self):
+        g = johnson_graph(10, 5)
+        size = len(pickle.dumps(g))
+        automorphism_group(g)
+        g.nbrs
+        assert {"nbrs", "_aut_search"} <= set(vars(g))
+        assert len(pickle.dumps(g)) == size
+
 
 def _pickled(value):
     return pickle.loads(pickle.dumps(value))
@@ -155,6 +163,17 @@ class TestCopies:
         h = round_trip(g)
         assert h == g and hash(h) == hash(g)
         assert h.adj == g.adj and h.labels == g.labels
+
+    def test_graph_leaves_its_caches_behind(self, round_trip):
+        g = johnson_graph(6, 3)
+        aut = automorphism_group(g)
+        g.nbrs
+        h = round_trip(g)
+        assert set(vars(h)) == {"n", "adj", "labels"}
+        assert h.nbrs == g.nbrs
+        again = automorphism_group(h)
+        assert again is not aut
+        assert (again.generators, again.base) == (aut.generators, aut.base)
 
     def test_perm(self, round_trip):
         p = Perm.from_cycles(5, (0, 1, 2))

@@ -652,9 +652,10 @@ class TestOneWalk:
 
         monkeypatch.setattr(Perm, "__init__", counted)
         checks = count_calls(monkeypatch, "_maps_edges")
+        twin_checks = count_calls(monkeypatch, "_swaps_twins")
         automorphism_group(g)
         # the Perm made for each accepted map is the group's generator
-        assert len(perms) == len(checks)
+        assert len(perms) == len(checks) + len(twin_checks)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -676,9 +677,11 @@ class TestOneWalk:
     def test_no_leaf_wasted(self, monkeypatch, name):
         g = self.GRAPHS[name]()
         checks = count_calls(monkeypatch, "_maps_edges")
+        twin_checks = count_calls(monkeypatch, "_swaps_twins")
         aut = automorphism_group(g)
-        # once, on its moved rows, where the search finds it
-        assert len(checks) == len(aut.generators)
+        # once, on its moved rows or on the two twin rows, where the
+        # search finds it
+        assert len(checks) + len(twin_checks) == len(aut.generators)
         # and no generator is redundant: each one, found deepest level
         # first, grows the orbit of the first base point it moves
         for i, p in enumerate(aut.generators):
@@ -725,6 +728,27 @@ class TestTwinCells:
         refines.clear()
         canonical_form(g)
         assert len(refines) <= g.n
+
+    @staticmethod
+    def assert_twin_swaps_agree_with_checker(g):
+        for a, b in combinations(range(g.n), 2):
+            swap = Perm.from_cycles(g.n, (a, b))
+            assert jgraphs.search._swaps_twins(g.adj, a, b) == check_automorphism(g, swap), (a, b)
+
+    def test_twin_swap_check_on_corpus(self):
+        # the mask check on two rows is exact: it accepts (a b) exactly
+        # when the moved-rows checker does
+        for name, g in build_corpus().items():
+            if g.n <= 12:
+                self.assert_twin_swaps_agree_with_checker(g)
+        for sizes, cliques in [([2, 1, 3], [True, False, False]), ([3, 3], [False, True])]:
+            base = Graph.from_edges(len(sizes), [(i, i + 1) for i in range(len(sizes) - 1)])
+            self.assert_twin_swaps_agree_with_checker(twin_blow_up(base, sizes, cliques))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_twin_swap_check_on_drawn_graphs(self, data):
+        self.assert_twin_swaps_agree_with_checker(draw_graph(data, data.draw(st.integers(1, 9))))
 
     def test_twin_cell_rule(self):
         # the path 0-1-2 blown up to {0, 1} (a clique), {2} and {3, 4}
@@ -1193,6 +1217,112 @@ class TestHarvest:
             for g, h in ((a, b), (b, a)):
                 p = find_isomorphism(g, h)
                 assert (p is None) == (not self.networkx_isomorphic(g, h))
+
+
+def shuffled(g: Graph, seed) -> Graph:
+    images = list(range(g.n))
+    random.Random(seed).shuffle(images)
+    return relabel(g, Perm(images))
+
+
+class TestSearchRecord:
+    """automorphism_group(g) records its completed search on g, and
+    find_isomorphism and a second automorphism_group read it back.  No
+    output may depend on whether the record is there."""
+
+    GRAPHS = {
+        **build_corpus(),
+        "Chang": chang(),
+        "L(K8)": line_graph(complete_graph(8))[0],
+        "Shrikhande": shrikhande(),
+        "L(K4,4)": line_graph(complete_bipartite(4, 4))[0],
+        # its search meets leaves past the first whose map is no
+        # automorphism: a record that kept such a leaf would be caught
+        "CFI(K4) + twisted": disjoint_union(cfi_k4(False), cfi_k4(True)),
+    }
+    # non-isomorphic pairs, which harvest h's group
+    PAIRS = {"Chang -> L(K8)": ("Chang", "L(K8)"), "Shrikhande -> L(K4,4)": ("Shrikhande", "L(K4,4)")}
+
+    @staticmethod
+    def outputs(g, h, recorded):
+        """Every search output on the pair, with automorphism_group run
+        first on the graphs in ``recorded`` (a subset of "gh")."""
+        for key, graph in (("g", g), ("h", h)):
+            if key in recorded:
+                automorphism_group(graph)
+        witnesses = [find_isomorphism(g, h), find_isomorphism(h, g)]
+        forms = [canonical_form(x) for x in (g, h)]
+        groups = [automorphism_group(x) for x in (g, h)]
+        return (
+            witnesses,
+            [(f.ordering, f.edges) for f in forms],
+            [(a.generators, a.base, a.order) for a in groups],
+        )
+
+    @pytest.mark.parametrize("name", [*GRAPHS, *PAIRS])
+    def test_outputs_do_not_depend_on_the_record(self, name):
+        # new Graph objects for every run, so no record outlives one
+        if name in self.PAIRS:
+            a, b = self.PAIRS[name]
+            make = lambda: (shuffled(self.GRAPHS[a], name), shuffled(self.GRAPHS[b], name))
+        else:
+            g = self.GRAPHS[name]
+            make = lambda: (Graph(g.n, g.adj), shuffled(g, name))
+        fresh = self.outputs(*make(), recorded="")
+        for recorded in ("g", "h", "gh"):
+            assert self.outputs(*make(), recorded) == fresh, recorded
+
+    @pytest.mark.parametrize("name", ["J63", "petersen", "Chang", "CFI(K4) + twisted"])
+    def test_record_holds_the_walks_first_path_and_leaf(self, name):
+        g = self.GRAPHS[name]
+        path = []
+        first = next(jgraphs.search._leaves(g, [(1 << g.n) - 1], path))
+        fresh = Graph(g.n, g.adj)
+        aut = automorphism_group(fresh)
+        assert vars(fresh)["_aut_search"] == (aut, path, first)
+
+    def test_second_group_is_the_recorded_one(self, monkeypatch):
+        g = johnson_graph(6, 3)
+        walks = count_calls(monkeypatch, "_leaves")
+        aut = automorphism_group(g)
+        assert automorphism_group(g) is aut and len(walks) == 1
+        # a coloured search is neither recorded nor answered from the record
+        colors = [range(10), range(10, 20)]
+        assert automorphism_group(g, colors=colors).order < aut.order
+        assert vars(g)["_aut_search"][0] is aut and len(walks) == 2
+        # a cap is still checked before the record is read
+        with pytest.raises(ValueError, match="cap is 10"):
+            automorphism_group(g, cap=10)
+
+    def test_recorded_pair_walks_h_only(self, monkeypatch):
+        g, h = chang(), line_graph(complete_graph(8))[0]
+        automorphism_group(g)
+        automorphism_group(h)
+        walks = count_calls(monkeypatch, "_leaves")
+        searches = count_calls(monkeypatch, "automorphism_group")
+        assert find_isomorphism(g, h) is None
+        # g's walk and the harvest's walk of h are the records' work;
+        # the harvest still asks for h's group
+        assert len(walks) == 1 and len(searches) == 1
+
+    def test_recorded_graph_is_not_walked_again(self, monkeypatch):
+        g = johnson_graph(6, 3)
+        h = shuffled(g, 3)
+        automorphism_group(g)
+        walks = count_calls(monkeypatch, "_leaves")
+        p = find_isomorphism(g, h)
+        assert p is not None and verify_isomorphism(g, h, p)
+        assert len(walks) == 1
+
+    def test_deadline_stores_nothing(self, monkeypatch):
+        g = johnson_graph(8, 4)
+        with pytest.raises(TimeLimitExceeded):
+            automorphism_group(g, deadline=time.monotonic())
+        assert "_aut_search" not in vars(g)
+        walks = count_calls(monkeypatch, "_leaves")
+        p = find_isomorphism(g, g)
+        assert p is not None and verify_isomorphism(g, g, p)
+        assert len(walks) == 2
 
 
 class TestOracles:
