@@ -138,9 +138,9 @@ class Graph:
         return tuple(tuple(bits(row)) for row in self.adj)
 
     def __getstate__(self):
-        """The fields alone, for pickle and copy: the neighbour view and
-        the search record of ``search.automorphism_group`` stay behind and
-        are rebuilt when read."""
+        """The fields alone, for pickle and copy: cached entries of the
+        instance dict, such as the neighbour view, stay behind and are
+        rebuilt when read."""
         return {"n": self.n, "adj": self.adj, "labels": self.labels}
 
     def degree(self, v: int) -> int:

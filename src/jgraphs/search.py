@@ -14,9 +14,11 @@ rows are added into bit planes of its neighbour counts, in one pass that
 also ORs their union, and a single vertex's row is its one plane.  Maps
 are read the other way: the leaf checks behind check_automorphism and
 verify_isomorphism, and the canonical relabelling, read each row from
-``Graph.nbrs``, the graph's neighbour view built on first read, and add
-up its neighbours' images from a table of one-bit masks built once per
-map, in place of walking a row bit by bit.
+``Graph.nbrs``, the graph's neighbour view built on first read.  Below
+``_TABLE_LIMIT`` vertices they add up a row's images from a table of
+one-bit masks built once per map; from it on, where those masks are long
+ints, the leaf checks compare sorted neighbour tuples and the canonical
+relabelling ORs one bit per neighbour.
 
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
@@ -265,20 +267,39 @@ def _target_cell(cells):
     return best
 
 
-def _maps_edges(nbrs_a, adj_b, images, points):
-    """True when images maps the neighbours of every vertex in the mask
-    ``points``, read from the view ``nbrs_a``, onto the row of its image.
-    ``points`` holds every point that images moves.
+# Below this many vertices a row's image is summed from a table of one-bit
+# masks, built once per map.  From it on the entries are long ints, each
+# addition costs O(n), and the table loses to an OR per neighbour (on
+# CPython 3.11, 2 vCPUs, the two break even between 2,000 and 3,000
+# vertices), so _maps_edges compares sorted neighbour tuples and
+# canonical_form ORs bit by bit.
+_TABLE_LIMIT = 2048
 
-    The neighbours are mapped by table lookups, with no Python loop per
-    neighbour: the table, built once per call, holds each point's image
-    as a one-bit mask, and a row's image is the sum of its neighbours'
-    entries.  images is always a permutation (Perm validates its images,
-    and a leaf map is a bijection), so the entries are distinct powers of
-    two and their sum is their OR."""
-    get = [1 << i for i in images].__getitem__
+
+def _maps_edges(g, h, images, points):
+    """True when images maps the neighbours in g of every vertex in the
+    mask ``points`` onto the neighbours in h of its image.  ``points``
+    holds every point that images moves.
+
+    Rows are read from ``Graph.nbrs`` and mapped with no Python loop per
+    neighbour.  Below ``_TABLE_LIMIT`` vertices a table, built once per
+    call, holds each point's image as a one-bit mask, and a row's image is
+    the sum of its neighbours' entries: images is always a permutation
+    (Perm validates its images, and a leaf map is a bijection), so the
+    entries are distinct powers of two and their sum is their OR.  From
+    ``_TABLE_LIMIT`` on, the sorted images of a row are compared with h's
+    ascending neighbour tuple, at a per-row cost that does not grow with
+    n."""
+    nbrs_a = g.nbrs
+    if len(images) < _TABLE_LIMIT:
+        get, adj_b = [1 << i for i in images].__getitem__, h.adj
+        for v in bits(points):
+            if sum(map(get, nbrs_a[v])) != adj_b[images[v]]:
+                return False
+        return True
+    get, nbrs_b = images.__getitem__, h.nbrs
     for v in bits(points):
-        if sum(map(get, nbrs_a[v])) != adj_b[images[v]]:
+        if tuple(sorted(map(get, nbrs_a[v]))) != nbrs_b[images[v]]:
             return False
     return True
 
@@ -440,7 +461,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
                 for a, b in zip(first, branch):
                     if a != b:
                         moved |= a
-                if _maps_edges(g.nbrs, adj, images, moved):
+                if _maps_edges(g, g, images, moved):
                     found.append(Perm(images))
                     support.append(moved)
                 else:
@@ -499,14 +520,14 @@ def check_automorphism(g: Graph, p: Perm) -> bool:
     """
     if p.degree != g.n:
         raise ValueError(f"permutation degree {p.degree} != vertex count {g.n}")
-    return _maps_edges(g.nbrs, g.adj, p.images, _support(p))
+    return _maps_edges(g, g, p.images, _support(p))
 
 
 def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     """True exactly when p maps g onto h edge for edge."""
     if g.n != h.n or p.degree != g.n:
         return False
-    return _maps_edges(g.nbrs, h.adj, p.images, (1 << g.n) - 1)
+    return _maps_edges(g, h, p.images, (1 << g.n) - 1)
 
 
 _RECORD = "_aut_search"  # g's instance dict entry: (group, first path, first leaf)
@@ -529,6 +550,10 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     returns the recorded group with no search, so no node checks the
     deadline.  A search stopped by its deadline records nothing.  The
     record is no dataclass field, and pickles and copies leave it out.
+    It lives as long as g does, and its path, which keeps the refinement
+    trace of every first-path node, can outweigh g's adjacency rows many
+    times over: about 0.6 MB for J(10,4)'s 210 vertices and 4.6 MB for
+    J(12,6)'s 924 (64-bit CPython).
     """
     _check_cap(g.n, cap)
     if colors is None and _RECORD in vars(g):
@@ -559,7 +584,9 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     When an uncoloured automorphism_group(g) has completed, g is not
     walked: its recorded first leaf and a copy of its recorded path stand
     in for the walk, and the harvest returns h's recorded group when h
-    has one.  Either way the witness is the same.
+    has one.  Either way the witness is the same.  A harvest that searches
+    h records that search on h, as automorphism_group does, so h keeps it
+    for as long as h lives.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -629,12 +656,19 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     positions = [1 << i for i in range(n)]
     best_key = best_leaf = None
     for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline):
-        # the leaf is a bijection, so the table lookups of _maps_edges apply
         relabel = _leaf_map(leaf, positions)
-        get = [1 << i for i in relabel].__getitem__
         rows = [0] * n
-        for v, nbrs in enumerate(g.nbrs):
-            rows[relabel[v]] = sum(map(get, nbrs))
+        if n < _TABLE_LIMIT:
+            # the leaf is a bijection, so the table of _maps_edges applies
+            get = [1 << i for i in relabel].__getitem__
+            for v, nbrs in enumerate(g.nbrs):
+                rows[relabel[v]] = sum(map(get, nbrs))
+        else:
+            for v, nbrs in enumerate(g.nbrs):
+                mapped = 0
+                for w in nbrs:
+                    mapped |= 1 << relabel[w]
+                rows[relabel[v]] = mapped
         key = tuple(rows)
         if best_key is None or key < best_key:
             best_key, best_leaf = key, leaf

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from collections import deque
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from jgraphs import (
     compose,
     find_isomorphism,
     group_from_generators,
+    induced_action,
     johnson_graph,
     kneser_graph,
     line_graph,
@@ -875,6 +877,11 @@ class TestIndependentWitnessCheck:
         assert not maps_edge_set(g, complete_graph(3), Perm.identity(3))
 
 
+# _TABLE_LIMIT as set, and 0, which sends every map through the forms
+# kept for graphs past it
+BOTH_ROW_MAPS = (jgraphs.search._TABLE_LIMIT, 0)
+
+
 class TestCheckers:
     def test_check_automorphism_rejects_non_automorphism(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -915,8 +922,10 @@ class TestCheckers:
                 images[t] = image
             perms.append(Perm(images))
         perms.append(Perm(data.draw(st.permutations(range(n)))))
-        for p in perms:
-            assert check_automorphism(g, p) == maps_edge_set(g, g, p), p
+        for limit in BOTH_ROW_MAPS:
+            with patch.object(jgraphs.search, "_TABLE_LIMIT", limit):
+                for p in perms:
+                    assert check_automorphism(g, p) == maps_edge_set(g, g, p), (limit, p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -937,8 +946,26 @@ class TestCheckers:
         wrong = [Perm(data.draw(st.permutations(range(n)))) for _ in range(3)]
         t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         wrong.append(compose(Perm(back), Perm.from_cycles(n, tuple(t))))
-        for p in wrong:
-            assert verify_isomorphism(g, h, p) == maps_edge_set(g, h, p), p
+        for limit in BOTH_ROW_MAPS:
+            with patch.object(jgraphs.search, "_TABLE_LIMIT", limit):
+                assert verify_isomorphism(g, h, Perm(back))
+                assert verify_isomorphism(h, g, Perm(q))
+                for p in wrong:
+                    assert verify_isomorphism(g, h, p) == maps_edge_set(g, h, p), (limit, p)
+
+    def test_checks_past_the_table_limit(self):
+        # J(15,5) has 3,003 vertices, so its maps take the sorted-tuple
+        # comparison with no patching
+        g = johnson_graph(15, 5)
+        assert g.n >= jgraphs.search._TABLE_LIMIT
+        shift = induced_action(Perm.from_cycles(15, tuple(range(15))), 15, 5)
+        swap = induced_action(Perm.from_cycles(15, (0, 1)), 15, 5)
+        assert check_automorphism(g, shift) and check_automorphism(g, swap)
+        assert verify_isomorphism(g, g, shift)
+        # two vertices at distance 1 and two at distance 5 swapped
+        for u in (g.nbrs[0][0], g.n - 1):
+            assert not check_automorphism(g, Perm.from_cycles(g.n, (0, u)))
+            assert not verify_isomorphism(g, g, Perm.from_cycles(g.n, (0, u)))
 
 
 class TestFindIsomorphism:
@@ -1378,6 +1405,18 @@ class TestCanonicalForm:
         c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         tt = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert canonical_form(c6) != canonical_form(tt)
+
+    @pytest.mark.parametrize("name", ["petersen", "K5", "J63", "J94", "Chang", "2C6+2C3"])
+    def test_relabelling_past_the_table_limit(self, name):
+        # the bit-by-bit relabelling kept for graphs past _TABLE_LIMIT
+        # gives the same ordering and edges as the table
+        g = {**build_corpus(), "Chang": chang(), "2C6+2C3": cycle_union([6, 6, 3, 3])}[name]
+        forms = []
+        for limit in BOTH_ROW_MAPS:
+            with patch.object(jgraphs.search, "_TABLE_LIMIT", limit):
+                form = canonical_form(Graph(g.n, g.adj))
+                forms.append((form.ordering, form.edges))
+        assert forms[0] == forms[1]
 
     def test_rebuilt_graph_is_isomorphic(self):
         g = kneser_graph(5, 2)
