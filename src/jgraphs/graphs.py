@@ -119,6 +119,23 @@ class Graph:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
+    def _from_nbrs(cls, nbrs, labels=None) -> "Graph":
+        """The graph with the ascending neighbour lists ``nbrs``, kept as its
+        view; each row is set from its list in a bytearray, then checked.
+        The lists must hold one int object per vertex, as a builder's do
+        when it reads each vertex's number from one table."""
+        width = (len(nbrs) + 7) // 8
+        rows = []
+        for ws in nbrs:
+            row = bytearray(width)
+            for w in ws:
+                row[w >> 3] |= 1 << (w & 7)
+            rows.append(int.from_bytes(row, "little"))
+        g = cls(len(nbrs), rows, labels)
+        vars(g)["nbrs"] = tuple(map(tuple, nbrs))
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -132,10 +149,14 @@ class Graph:
 
     @cached_property
     def nbrs(self) -> tuple[tuple[int, ...], ...]:
-        """The neighbours of each vertex as an ascending tuple, built on
-        first read and kept.  It is no dataclass field: equality, hashing
-        and ``repr`` never see it."""
-        return tuple(tuple(bits(row)) for row in self.adj)
+        """The neighbours of each vertex as an ascending tuple, one int
+        object per vertex.  Builders that list neighbours hand it over; a
+        graph built from rows derives it on first read and keeps it.  It
+        is no dataclass field: equality, hashing and ``repr`` never see it."""
+        # past 256 each int read from a row is its own object, several
+        # times larger than a reference to a shared one
+        get = list(range(self.n)).__getitem__
+        return tuple(tuple(map(get, bits(row))) for row in self.adj)
 
     def __getstate__(self):
         """The fields alone, for pickle and copy: cached entries of the
@@ -143,17 +164,19 @@ class Graph:
         rebuilt when read."""
         return {"n": self.n, "adj": self.adj, "labels": self.labels}
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        return v
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
+    def degree(self, v: int) -> int:
+        return self.adj[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return bool((self.adj[self._vertex(u)] >> self._vertex(v)) & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.adj[v]))
+        return frozenset(bits(self.adj[self._vertex(v)]))
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -224,13 +247,12 @@ def _colex_index(n: int, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
 
 
 def _subset_family(n: int, m: int, cap: int | None):
-    """Count, labels and mask -> rank index of the m-subsets of {1..n}; cap-checked first."""
+    """Labels and mask -> rank index of the m-subsets of {1..n}; cap-checked first."""
     if not 1 <= m <= n - 1:
         raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
-    count = binomial(n, m)
-    _check_cap(count, cap)
+    _check_cap(binomial(n, m), cap)
     masks, index = _colex_index(n, m)
-    return count, [SubsetLabel(n, mask) for mask in masks], index
+    return [SubsetLabel(n, mask) for mask in masks], index
 
 
 def johnson_graph(n: int, m: int, cap: int | None = None) -> Graph:
@@ -239,31 +261,25 @@ def johnson_graph(n: int, m: int, cap: int | None = None) -> Graph:
     Regular of degree m*(n-m).  J(n, 1) is the complete graph K_n.  Over
     ``cap`` vertices (None: DEFAULT_VERTEX_CAP) it raises VertexCapExceeded.
     """
-    count, labels, index = _subset_family(n, m, cap)
-    rows = [0] * count
-    for r, label in enumerate(labels):
+    labels, index = _subset_family(n, m, cap)
+    units = [1 << b for b in range(n)]
+    nbrs = []
+    for label in labels:
         mask = label.mask
-        inside = list(bits(mask))
-        outside = [b for b in range(n) if not (mask >> b) & 1]
-        for a in inside:
-            removed = mask ^ (1 << a)
-            for b in outside:
-                rows[r] |= 1 << index[removed | (1 << b)]
-    return Graph(count, rows, labels)
+        removed = [mask ^ u for u in units if mask & u]
+        added = [u for u in units if not mask & u]
+        nbrs.append(sorted(map(index.__getitem__, [r | a for r in removed for a in added])))
+    return Graph._from_nbrs(nbrs, labels)
 
 
 def kneser_graph(n: int, m: int, cap: int | None = None) -> Graph:
     """K(n, m): m-subsets of {1..n}, adjacent when disjoint; ``cap`` as in johnson_graph."""
-    count, labels, index = _subset_family(n, m, cap)
-    rows = [0] * count
-    for r, label in enumerate(labels):
-        outside = [b for b in range(n) if not (label.mask >> b) & 1]
-        for combo in combinations(outside, m):
-            other = 0
-            for b in combo:
-                other |= 1 << b
-            rows[r] |= 1 << index[other]
-    return Graph(count, rows, labels)
+    labels, index = _subset_family(n, m, cap)
+    nbrs = []
+    for label in labels:
+        outside = [1 << b for b in range(n) if not (label.mask >> b) & 1]
+        nbrs.append(sorted(map(index.__getitem__, map(sum, combinations(outside, m)))))
+    return Graph._from_nbrs(nbrs, labels)
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
@@ -277,19 +293,12 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     edge_map = tuple(g.edges())
     if not edge_map:
         raise ValueError("line graph of an edgeless graph is not defined here")
-    count = len(edge_map)
-    incident = [[] for _ in range(g.n)]
+    incident = [set() for _ in range(g.n)]
     for i, (u, v) in enumerate(edge_map):
-        incident[u].append(i)
-        incident[v].append(i)
-    rows = [0] * count
-    for hub in range(g.n):
-        members = incident[hub]
-        for a_pos, i in enumerate(members):
-            for j in members[a_pos + 1:]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(count, rows), edge_map
+        incident[u].add(i)
+        incident[v].add(i)
+    # edge i is the one edge on both u and v, so the difference drops it
+    return Graph._from_nbrs([sorted(incident[u] ^ incident[v]) for u, v in edge_map]), edge_map
 
 
 def complement(g: Graph) -> Graph:
@@ -309,15 +318,9 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     if mapping[0] < 0 or mapping[-1] >= g.n:
         raise ValueError(f"vertices outside 0..{g.n - 1}")
     position = {old: new for new, old in enumerate(mapping)}
-    rows = [0] * len(mapping)
-    for new, old in enumerate(mapping):
-        for w in bits(g.adj[old]):
-            if w in position:
-                rows[new] |= 1 << position[w]
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[old] for old in mapping)
-    return Graph(len(mapping), rows, labels), mapping
+    nbrs = [[position[w] for w in g.nbrs[old] if w in position] for old in mapping]
+    labels = None if g.labels is None else tuple(map(g.labels.__getitem__, mapping))
+    return Graph._from_nbrs(nbrs, labels), mapping
 
 
 def distance_partition(g: Graph, source: int) -> DistancePartition:
@@ -352,6 +355,4 @@ def distance_partition(g: Graph, source: int) -> DistancePartition:
 
 
 def neighborhood(g: Graph, v: int) -> frozenset[int]:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     return g.neighbors(v)

@@ -626,7 +626,7 @@ def verify_johnson_aut(
         if x == 0:
             rigid = not offenders
             around = masks
-    neighbourhood, _ = induced_subgraph(g, bits(g.adj[0]))
+    neighbourhood, _ = induced_subgraph(g, g.nbrs[0])
     local = automorphism_group(neighbourhood, cap=cap, deadline=deadline).order
     bound = bipartite_aut_order(m, n - m)
     checks.append(CheckResult(

@@ -14,7 +14,7 @@ rows are added into bit planes of its neighbour counts, in one pass that
 also ORs their union, and a single vertex's row is its one plane.  Maps
 are read the other way: the leaf checks behind check_automorphism and
 verify_isomorphism, and the canonical relabelling, read each row from
-``Graph.nbrs``, the graph's neighbour view built on first read.  Below
+``Graph.nbrs``, the graph's neighbour view.  Below
 ``_TABLE_LIMIT`` vertices they add up a row's images from a table of
 one-bit masks built once per map; from it on, where those masks are long
 ints, the leaf checks compare sorted neighbour tuples and the canonical
@@ -62,20 +62,18 @@ over one walk with no trace pruning, which prunes by the automorphisms it
 finds and by every map between two leaves with equal relabelled
 adjacency.
 
-A graph searched once is not searched again for the same answer.  A
-completed automorphism_group(g) with no colouring keeps its group, its
-first path and its first leaf in one private entry of g's instance dict,
-as ``Graph.nbrs`` is kept: a later automorphism_group(g) returns that
-group, and find_isomorphism(g, h) walks h along a copy of the recorded
-path in place of walking g, and harvests h's record when h has one.
-These are the very group, path and leaf a new walk would produce, so the
-record never changes an output.  canonical_form never reads it: seeded
-with the recorded generators, its walk can end on another leaf, and its
-output would then depend on what ran before.
+A graph searched once is not searched again for the same answer: a
+completed automorphism_group(g) with no colouring records its group,
+first path and first leaf on g, which automorphism_group and
+find_isomorphism read in place of a walk of g.  They are what a new walk
+would produce, so the record never changes an output.  canonical_form
+never reads it: seeded with the recorded generators, its walk can end on
+another leaf, and its output would then depend on what ran before.
 """
 
 from __future__ import annotations
 
+import marshal
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -129,10 +127,6 @@ class ColoredPartition:
     @property
     def n(self) -> int:
         return len(self.color)
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(cell) == 1 for cell in self.cells)
 
 
 def _cut(cell, planes):
@@ -530,7 +524,7 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     return _maps_edges(g, h, p.images, (1 << g.n) - 1)
 
 
-_RECORD = "_aut_search"  # g's instance dict entry: (group, first path, first leaf)
+_RECORD = "_aut_search"  # g's instance dict entry: (group, marshalled first path, first leaf)
 
 
 def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadline=None) -> PermGroup:
@@ -551,9 +545,9 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     deadline.  A search stopped by its deadline records nothing.  The
     record is no dataclass field, and pickles and copies leave it out.
     It lives as long as g does, and its path, which keeps the refinement
-    trace of every first-path node, can outweigh g's adjacency rows many
-    times over: about 0.6 MB for J(10,4)'s 210 vertices and 4.6 MB for
-    J(12,6)'s 924 (64-bit CPython).
+    trace of every first-path node as ``marshal`` bytes, can outweigh
+    g's adjacency rows several times over: about 80 KB for J(10,4)'s 210
+    vertices and 0.57 MB for J(12,6)'s 924 (64-bit CPython).
     """
     _check_cap(g.n, cap)
     if colors is None and _RECORD in vars(g):
@@ -564,7 +558,7 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     deque(leaves, maxlen=0)
     group = PermGroup(found, g.n, base=tuple(v for v, _ in path[1:]))
     if colors is None:
-        vars(g)[_RECORD] = (group, path, leaf)
+        vars(g)[_RECORD] = (group, marshal.dumps(path), leaf)
     return group
 
 
@@ -582,8 +576,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     automorphism_group, the harvest's included.
 
     When an uncoloured automorphism_group(g) has completed, g is not
-    walked: its recorded first leaf and a copy of its recorded path stand
-    in for the walk, and the harvest returns h's recorded group when h
+    walked: its recorded first leaf and a fresh load of its recorded
+    path stand in for the walk, and the harvest returns h's recorded group when h
     has one.  Either way the witness is the same.  A harvest that searches
     h records that search on h, as automorphism_group does, so h keeps it
     for as long as h lives.
@@ -599,8 +593,8 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
         path = []
         leaves = _leaves(g, [(1 << g.n) - 1], path, deadline=deadline)
     else:
-        # a copy, so that the walk over h never writes to the record
-        path, leaves = list(record[1]), iter([record[2]])
+        # a fresh list, so that the walk over h never writes to the record
+        path, leaves = marshal.loads(record[1]), iter([record[2]])
     harvest = lambda: automorphism_group(h, deadline=deadline).generators
     others = _leaves(h, [(1 << h.n) - 1], path, deadline=deadline, harvest=harvest)
     if others is None:

@@ -43,7 +43,7 @@ class TestGraph:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
-        assert g.degrees() == (1, 2, 1)
+        assert [g.degree(v) for v in range(3)] == [1, 2, 1]
         assert g.edges() == [(0, 1), (1, 2)]
         assert g.edge_count() == 2
 
@@ -120,20 +120,66 @@ class TestGraph:
         assert neighborhood(g, 0) == frozenset({1, 2, 3})
 
 
+def _handed_over():
+    """Every builder that hands its neighbour lists over as the view, with
+    the subgraphs induced on the even vertices and on a closed neighbourhood."""
+    graphs = {}
+    for n in range(2, 10):
+        for m in range(1, n):
+            graphs[f"J({n},{m})"] = johnson_graph(n, m)
+            if n <= 8:
+                graphs[f"K({n},{m})"] = kneser_graph(n, m)
+    for n in range(2, 9):
+        graphs[f"L(K{n})"] = line_graph(complete_graph(n))[0]
+    for s in range(1, 5):
+        for t in range(s, 5):
+            graphs[f"L(K{s},{t})"] = line_graph(complete_bipartite(s, t))[0]
+    for name, g in list(graphs.items()):
+        graphs[f"{name}[even]"] = induced_subgraph(g, range(0, g.n, 2))[0]
+        graphs[f"{name}[N[0]]"] = induced_subgraph(g, [0, *g.nbrs[0]])[0]
+    return graphs
+
+
 class TestNeighbourView:
     def test_rows_as_ascending_tuples(self):
         for name, g in build_corpus().items():
             assert g.nbrs == tuple(tuple(bits(row)) for row in g.adj), name
 
+    def test_handed_over_view_matches_the_rows(self):
+        for name, g in _handed_over().items():
+            assert "nbrs" in vars(g), name
+            assert g.nbrs == tuple(tuple(bits(row)) for row in g.adj), name
+            assert g == Graph(g.n, g.adj), name
+
+    def test_pickled_copy_rebuilds_the_view(self):
+        for name, g in _handed_over().items():
+            copied = pickle.loads(pickle.dumps(g))
+            assert "nbrs" not in vars(copied), name
+            assert copied.nbrs == g.nbrs, name
+
+    def test_one_int_object_per_vertex(self):
+        # 276 to 330 vertices: CPython caches no int past 256
+        j = johnson_graph(11, 4)
+        graphs = [j, kneser_graph(11, 4), line_graph(complete_graph(24))[0],
+                  induced_subgraph(j, range(10, j.n))[0], Graph(j.n, j.adj)]
+        for g in graphs:
+            seen = {}
+            for row in g.nbrs:
+                for w in row:
+                    assert seen.setdefault(w, w) is w
+            assert max(seen) > 256
+
     def test_built_once(self):
         g = johnson_graph(6, 3)
+        g = Graph(g.n, g.adj)
         assert "nbrs" not in vars(g)
         view = g.nbrs
         assert g.nbrs is view
 
     def test_not_a_field(self):
         assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj", "labels"]
-        g, h = johnson_graph(6, 3), johnson_graph(6, 3)
+        j = johnson_graph(6, 3)
+        g, h = Graph(j.n, j.adj), Graph(j.n, j.adj)
         g.nbrs  # g's view is built, h's is not
         assert "nbrs" not in vars(h)
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
@@ -210,7 +256,7 @@ class TestFamilies:
     def test_complete(self):
         k5 = complete_graph(5)
         assert k5.n == 5 and k5.edge_count() == 10
-        assert all(d == 4 for d in k5.degrees())
+        assert all(k5.degree(v) == 4 for v in range(k5.n))
 
     def test_bipartite_sides(self):
         g = complete_bipartite(2, 3)
@@ -222,7 +268,7 @@ class TestFamilies:
     def test_johnson_basic(self):
         g = johnson_graph(5, 2)
         assert g.n == 10
-        assert all(d == 6 for d in g.degrees())  # m(n-m) = 2*3
+        assert all(g.degree(v) == 6 for v in range(g.n))  # m(n-m) = 2*3
         # adjacency means intersection of size m-1
         for u, v in g.edges():
             assert intersection_size(g.labels[u], g.labels[v]) == 1
@@ -238,7 +284,7 @@ class TestFamilies:
 
     def test_kneser_petersen(self):
         p = kneser_graph(5, 2)
-        assert p.n == 10 and all(d == 3 for d in p.degrees())
+        assert p.n == 10 and all(p.degree(v) == 3 for v in range(p.n))
         for u, v in p.edges():
             assert intersection_size(p.labels[u], p.labels[v]) == 0
 
@@ -247,7 +293,7 @@ class TestFamilies:
 
     def test_octahedron(self):
         g = johnson_graph(4, 2)
-        assert g.n == 6 and all(d == 4 for d in g.degrees())
+        assert g.n == 6 and all(g.degree(v) == 4 for v in range(g.n))
         # octahedron: each vertex has exactly one non-neighbor, its complement pair
         for v in range(6):
             non = set(range(6)) - {v} - g.neighbors(v)
@@ -280,7 +326,7 @@ class TestLineGraph:
     def test_lk4(self):
         lg, edge_map = line_graph(complete_graph(4))
         assert lg.n == 6
-        assert all(d == 4 for d in lg.degrees())
+        assert all(lg.degree(v) == 4 for v in range(lg.n))
         assert edge_map == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
     def test_line_vertices_adjacent_iff_edges_share_endpoint(self):

@@ -36,6 +36,7 @@ from jgraphs import (
 
 K3 = complete_graph(3)
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+J52 = johnson_graph(5, 2)
 
 
 def _closed_neighbourhood_seed(g, x):
@@ -60,6 +61,12 @@ CASES = [
     ("induced_subgraph range", lambda: induced_subgraph(K3, [0, 3]), ValueError,
      "vertices outside 0..2"),
     ("neighborhood", lambda: neighborhood(K3, 3), ValueError, "vertex 3 outside 0..2"),
+    ("degree negative", lambda: J52.degree(-1), ValueError, "vertex -1 outside 0..9"),
+    ("neighbors negative", lambda: J52.neighbors(-1), ValueError, "vertex -1 outside 0..9"),
+    ("has_edge second high", lambda: J52.has_edge(0, 99), ValueError, "vertex 99 outside 0..9"),
+    ("has_edge second negative", lambda: J52.has_edge(0, -1), ValueError,
+     "vertex -1 outside 0..9"),
+    ("has_edge first high", lambda: J52.has_edge(99, 0), ValueError, "vertex 99 outside 0..9"),
     # permutations and groups
     ("Perm.parse empty cycle", lambda: Perm.parse("()()", 3), ValueError, "empty cycle in '()()'"),
     ("Perm.parse non-integer", lambda: Perm.parse("(a b)", 3), ValueError,
