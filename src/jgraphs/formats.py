@@ -23,6 +23,8 @@ _NOT_GRAPH6 = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*", re.ASCII)
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}  # any case
 
 # graph6 size encoding switches representation at these bounds
 _SMALL_N_MAX = 62
@@ -111,13 +113,16 @@ def parse_graph6(text: str) -> Graph:
 
 
 def _node_name(g: Graph, v: int) -> str:
-    if g.labels is not None:
-        return str(g.labels[v])
-    return str(v)
+    text = str(v) if g.labels is None else str(g.labels[v])
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def write_dot(g: Graph, name: str = "G") -> str:
-    """Render as a Graphviz DOT graph, one node and edge per line."""
+    """Render as a Graphviz DOT graph, one node and edge per line, with
+    ``"`` and ``\\`` escaped in the labels; a ``name`` that is no plain DOT
+    identifier, a keyword included, raises ValueError."""
+    if not _DOT_ID.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+        raise ValueError(f"DOT graph name must be an identifier, got {name!r}")
     lines = [f"graph {name} {{"]
     for v in range(g.n):
         lines.append(f'  {v} [label="{_node_name(g, v)}"];')

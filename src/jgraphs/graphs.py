@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .subsets import SubsetLabel, binomial, unrank_subset
+from .subsets import SubsetLabel, binomial
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -49,27 +49,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def _is_symmetric(adj) -> bool:
-    """True when every row bit has its mirror, for loop-free rows.
-
-    Only the bits above the diagonal are walked: each must have its
-    mirror below it, and then equal bit counts of the two triangles leave
-    no bit below the diagonal without a mirror above it.
-    """
-    upper = lower = 0
-    for v, row in enumerate(adj):
-        bit = 1 << v
-        above = row >> v  # bit i stands for vertex v + i, and bit 0 is clear
-        upper += above.bit_count()
-        lower += (row & (bit - 1)).bit_count()
-        while above:
-            low = above & -above
-            if not adj[v + low.bit_length() - 1] & bit:
-                return False
-            above ^= low
-    return upper == lower
-
-
 def _edge_list(adj) -> list[tuple[int, int]]:
     """The edges of adjacency rows as (u, v) with u < v, in lexicographic order."""
     out = []
@@ -87,6 +66,10 @@ class Graph:
     immutable after construction.  Equality and hashing are structural
     (vertex count plus adjacency); ``labels`` is carried metadata and does
     not participate in equality.
+
+    One sweep checks each row's range, self-loop bit and the mirrors of its
+    bits above the diagonal (triangle bit counts cover those below); only
+    after it may a row-order scan name an asymmetric pair.
     """
 
     n: int
@@ -99,13 +82,22 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows for {n} vertices")
-        full = (1 << n) - 1
+        upper = total = 0
+        mirrored = True
         for v, row in enumerate(adj):
-            if row & ~full:
+            if row < 0 or row >> n:
                 raise ValueError(f"row {v} mentions vertices outside 0..{n - 1}")
-            if (row >> v) & 1:
+            above = row >> v  # bit i stands for vertex v + i
+            if above & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        if not _is_symmetric(adj):
+            upper += above.bit_count()
+            total += row.bit_count()
+            bit = 1 << v
+            while mirrored and above:
+                low = above & -above
+                mirrored = adj[v + low.bit_length() - 1] & bit
+                above ^= low
+        if not mirrored or 2 * upper != total:
             for v, row in enumerate(adj):
                 for w in bits(row):
                     if not (adj[w] >> v) & 1:
@@ -141,8 +133,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows, labels)
@@ -239,10 +229,12 @@ def complete_bipartite(s: int, t: int) -> Graph:
 
 @lru_cache(maxsize=32)
 def _colex_index(n: int, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Masks of the m-subsets of {1..n} in colex rank order, and mask -> rank."""
+    """Masks of the m-subsets of {1..n} in colex rank order, which is
+    ascending mask order, and mask -> rank."""
     if not 1 <= m <= n - 1:
         raise ValueError(f"subset size must be in 1..{n - 1}, got {m}")
-    masks = tuple(unrank_subset(r, n, m).mask for r in range(binomial(n, m)))
+    binomial(n, m)  # rejects a ground set past the one-word limit before enumerating
+    masks = tuple(sorted(map(sum, combinations([1 << b for b in range(n)], m))))
     return masks, {mask: r for r, mask in enumerate(masks)}
 
 

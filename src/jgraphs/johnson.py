@@ -657,8 +657,9 @@ def verify_johnson_aut(
         f"there is the whole first layer",
     ))
 
-    fixers = [(0, 1), tuple(range(m)), (m, m + 1), tuple(range(m, n))]  # all fix vertex 0
-    stabilizer = [induced_action(Perm.from_cycles(n, c), n, m).images for c in fixers]
+    fixers = [tuple(range(m)), (m, m + 1), tuple(range(m, n))]  # with (0 1), all fix vertex 0
+    lifted = [induced_action(Perm.from_cycles(n, c), n, m) for c in fixers]
+    stabilizer = [f.images for f in (lifts[0], *lifted)]
     profile = _transitivity(g, [f.images for f in lifts], around, stabilizer, deadline)
     checks.append(CheckResult("vertex_transitive", profile.vertex, True, "single vertex orbit"))
     # the arc argument reads the lifts as automorphisms

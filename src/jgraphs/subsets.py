@@ -2,8 +2,9 @@
 
 Every subset-labelled graph family in this package indexes its vertices by
 the colex rank implemented here, so rank/unrank is a frozen contract:
-rank 0 is {1, ..., m} and rank C(n, m) - 1 is {n-m+1, ..., n}.  Ground
-sets are capped at 64 elements so a subset always fits in one mask word.
+rank 0 is {1, ..., m} and rank C(n, m) - 1 is {n-m+1, ..., n}, and rank
+order is ascending mask order.  Ground sets are capped at 64 elements so a
+subset always fits in one mask word.
 """
 
 from __future__ import annotations

@@ -172,6 +172,23 @@ class TestDot:
         text = write_dot(complete_graph(4))
         assert text.count("--") == 6
 
+    def test_subset_labels_byte_for_byte(self):
+        assert write_dot(johnson_graph(3, 1)) == (
+            'graph G {\n  0 [label="{1}"];\n  1 [label="{2}"];\n  2 [label="{3}"];\n'
+            "  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n}\n"
+        )
+
+    def test_quote_and_backslash_escaped(self):
+        text = write_dot(Graph(2, (2, 1), labels=['a"b', "c\\d"]), name="my_graph_2")
+        assert text.splitlines() == [
+            "graph my_graph_2 {", '  0 [label="a\\"b"];', '  1 [label="c\\\\d"];', "  0 -- 1;", "}",
+        ]
+
+    @pytest.mark.parametrize("name", ["my graph", "", "2G", "G-1", "G;", "Gé", "node", "Graph"])
+    def test_rejects_a_name_that_is_no_identifier(self, name):
+        with pytest.raises(ValueError, match="DOT graph name must be an identifier"):
+            write_dot(complete_graph(2), name=name)
+
 
 class TestEdgeList:
     def test_shape(self):

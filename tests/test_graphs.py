@@ -28,7 +28,9 @@ from jgraphs import (
     kneser_graph,
     line_graph,
     neighborhood,
+    unrank_subset,
 )
+from jgraphs.graphs import _colex_index
 
 from conftest import build_corpus
 
@@ -314,6 +316,15 @@ class TestFamilies:
         # explicit cap raise lets it through
         g = johnson_graph(13, 6, cap=2000)
         assert g.n == 1716
+
+    def test_colex_index_is_the_unranking(self):
+        # the enumerated table against rank by rank unranking, the oracle
+        for n in range(2, 15):
+            for m in range(1, n):
+                masks, index = _colex_index(n, m)
+                assert masks == tuple(unrank_subset(r, n, m).mask for r in range(binomial(n, m)))
+                assert len(index) == len(masks)
+                assert all(index[mask] == r for r, mask in enumerate(masks))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

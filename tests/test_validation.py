@@ -43,10 +43,49 @@ def _closed_neighbourhood_seed(g, x):
     return PartialVertexMap.identity_on(g, [x, *g.neighbors(x)])
 
 
+def _faulty_cycle(n, extra=(), replace=()):
+    """Graph(n, rows) on the rows of the n-cycle, with each row bit (v, w) in
+    ``extra`` set and each (v, row) in ``replace`` put in place."""
+    rows = [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]
+    for v, w in extra:
+        rows[v] |= 1 << w
+    for v, row in replace:
+        rows[v] = row
+    return Graph(n, rows)
+
+
 CASES = [
     # graphs
     ("Graph rows", lambda: Graph(2, [0]), ValueError, "adjacency has 1 rows for 2 vertices"),
     ("Graph self-loop", lambda: Graph(2, [1, 0]), ValueError, "self-loop at vertex 0"),
+    # each row fault at 5 vertices and at 70, where rows cross a machine word
+    ("Graph bit at n, 5", lambda: _faulty_cycle(5, extra=[(2, 5)]), ValueError,
+     "row 2 mentions vertices outside 0..4"),
+    ("Graph bit at n, 70", lambda: _faulty_cycle(70, extra=[(65, 70)]), ValueError,
+     "row 65 mentions vertices outside 0..69"),
+    ("Graph negative row, 5", lambda: _faulty_cycle(5, replace=[(2, -1)]), ValueError,
+     "row 2 mentions vertices outside 0..4"),
+    ("Graph negative row, 70", lambda: _faulty_cycle(70, replace=[(68, -(1 << 66))]), ValueError,
+     "row 68 mentions vertices outside 0..69"),
+    ("Graph self-loop, 5", lambda: _faulty_cycle(5, extra=[(3, 3)]), ValueError,
+     "self-loop at vertex 3"),
+    ("Graph self-loop, 70", lambda: _faulty_cycle(70, extra=[(67, 67)]), ValueError,
+     "self-loop at vertex 67"),
+    ("Graph unmirrored above, 5", lambda: _faulty_cycle(5, extra=[(1, 4)]), ValueError,
+     "asymmetric adjacency between 1 and 4"),
+    ("Graph unmirrored above, 70", lambda: _faulty_cycle(70, extra=[(1, 66)]), ValueError,
+     "asymmetric adjacency between 1 and 66"),
+    ("Graph unmirrored below, 5", lambda: _faulty_cycle(5, extra=[(4, 1)]), ValueError,
+     "asymmetric adjacency between 4 and 1"),
+    ("Graph unmirrored below, 70", lambda: _faulty_cycle(70, extra=[(66, 1)]), ValueError,
+     "asymmetric adjacency between 66 and 1"),
+    # a self-loop in any row is named before an asymmetric pair in an earlier one
+    ("Graph two faults, 5", lambda: _faulty_cycle(5, extra=[(1, 4), (3, 3)]), ValueError,
+     "self-loop at vertex 3"),
+    ("Graph two faults, 70", lambda: _faulty_cycle(70, extra=[(1, 66), (3, 3)]), ValueError,
+     "self-loop at vertex 3"),
+    ("from_edges self-loop", lambda: Graph.from_edges(2, [(1, 1)]), ValueError,
+     "self-loop at vertex 1"),
     ("Graph labels", lambda: Graph(2, [0, 0], labels=[1]), ValueError,
      "label count must match vertex count"),
     ("from_edges range", lambda: Graph.from_edges(2, [(0, 2)]), ValueError, "edge (0,2) outside 0..1"),
@@ -104,6 +143,8 @@ CASES = [
      "ground permutation degree 3 != 4"),
     ("induced_action subset size", lambda: induced_action(Perm.identity(5), 5, 0), ValueError,
      "subset size must be in 1..4, got 0"),
+    ("induced_action ground set", lambda: induced_action(Perm.identity(65), 65, 2), ValueError,
+     "ground set size must be in 0..64, got 65"),
     ("complementation_map", lambda: complementation_map(0), ValueError,
      "subset size must be positive, got 0"),
     ("whitney_lift non-edge", lambda: whitney_lift(Perm.identity(3), P3, [(0, 1), (0, 2)]),
