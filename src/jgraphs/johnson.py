@@ -27,6 +27,7 @@ from math import factorial
 from ._version import __version__
 from .graphs import (
     Graph,
+    _check_cap,
     _check_deadline,
     _colex_index,
     bits,
@@ -38,16 +39,19 @@ from .graphs import (
 )
 from .perms import Perm, PermGroup, _orbit_mask, compose
 from .search import automorphism_group, check_automorphism
-from .subsets import SubsetLabel, intersection_size, rank_subset
+from .subsets import SubsetLabel, binomial, intersection_size, rank_subset
 
 DEFAULT_SEED = 1729
 
 
-def induced_action(theta: Perm, n: int, m: int) -> Perm:
+def induced_action(theta: Perm, n: int, m: int, *, cap: int | None = None) -> Perm:
     """The permutation of J(n, m) vertices induced by a ground-set
-    permutation theta (0-based points stand for elements 1..n)."""
+    permutation theta (0-based points stand for elements 1..n).  Over
+    ``cap`` vertices (None: DEFAULT_VERTEX_CAP) it raises
+    VertexCapExceeded before any subset is listed."""
     if theta.degree != n:
         raise ValueError(f"ground permutation degree {theta.degree} != {n}")
+    _check_cap(binomial(n, m), cap)
     masks, index = _colex_index(n, m)
     lift = {1 << b: 1 << t for b, t in enumerate(theta.images)}  # bit -> image bit
     images = []
@@ -61,11 +65,14 @@ def induced_action(theta: Perm, n: int, m: int) -> Perm:
     return Perm(images)
 
 
-def complementation_map(m: int) -> Perm:
-    """The vertex permutation of J(2m, m) sending each set to its complement."""
+def complementation_map(m: int, *, cap: int | None = None) -> Perm:
+    """The vertex permutation of J(2m, m) sending each set to its
+    complement.  Over ``cap`` vertices (None: DEFAULT_VERTEX_CAP) it
+    raises VertexCapExceeded before any subset is listed."""
     if m < 1:
         raise ValueError(f"subset size must be positive, got {m}")
     n = 2 * m
+    _check_cap(binomial(n, m), cap)
     masks, index = _colex_index(n, m)
     full = (1 << n) - 1
     return Perm([index[mask ^ full] for mask in masks])
@@ -529,7 +536,9 @@ def verify_johnson_aut(
     probes = [Perm.from_cycles(n, (0, 1, 2))]
     if n == 4:
         probes.append(Perm.from_cycles(n, (0, 1), (2, 3)))
-    moved = [sum(v != w for v, w in enumerate(induced_action(t, n, m).images)) for t in probes]
+    moved = [
+        sum(v != w for v, w in enumerate(induced_action(t, n, m, cap=cap).images)) for t in probes
+    ]
     injective = all(moved)
     checks.append(CheckResult(
         "induced_action_injective",
@@ -543,8 +552,8 @@ def verify_johnson_aut(
 
     swap = Perm.from_cycles(n, (0, 1))
     cycle = Perm.from_cycles(n, tuple(range(n)))
-    lifts = [induced_action(swap, n, m), induced_action(cycle, n, m)]
-    alpha = complementation_map(m) if n == 2 * m else None
+    lifts = [induced_action(swap, n, m, cap=cap), induced_action(cycle, n, m, cap=cap)]
+    alpha = complementation_map(m, cap=cap) if n == 2 * m else None
     maps = lifts if alpha is None else [*lifts, alpha]
     automorphisms = all(check_automorphism(g, f) for f in maps)
     checks.append(CheckResult(
@@ -658,7 +667,7 @@ def verify_johnson_aut(
     ))
 
     fixers = [tuple(range(m)), (m, m + 1), tuple(range(m, n))]  # with (0 1), all fix vertex 0
-    lifted = [induced_action(Perm.from_cycles(n, c), n, m) for c in fixers]
+    lifted = [induced_action(Perm.from_cycles(n, c), n, m, cap=cap) for c in fixers]
     stabilizer = [f.images for f in (lifts[0], *lifted)]
     profile = _transitivity(g, [f.images for f in lifts], around, stabilizer, deadline)
     checks.append(CheckResult("vertex_transitive", profile.vertex, True, "single vertex orbit"))

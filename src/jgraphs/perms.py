@@ -135,8 +135,12 @@ def _inv(p):
     return tuple(out)
 
 
-def _orbit_mask(gens, start):
-    """Orbit of a point set under image tuples, both as bit masks."""
+def _orbit_mask(gens, start, until=None):
+    """Orbit of a point set under image tuples, both as bit masks.
+
+    Given a mask ``until``, the closure stops as soon as it holds every
+    point of it: the mask returned then holds ``start`` and meets
+    ``until`` exactly where the whole orbit does."""
     seen = start
     queue = list(bits(start))
     while queue:
@@ -146,6 +150,8 @@ def _orbit_mask(gens, start):
             if not (seen >> q) & 1:
                 seen |= 1 << q
                 queue.append(q)
+        if until is not None and not until & ~seen:
+            break
     return seen
 
 

@@ -67,8 +67,18 @@ completed automorphism_group(g) with no colouring records its group,
 first path and first leaf on g, which automorphism_group and
 find_isomorphism read in place of a walk of g.  They are what a new walk
 would produce, so the record never changes an output.  canonical_form
-never reads it: seeded with the recorded generators, its walk can end on
-another leaf, and its output would then depend on what ran before.
+reads the recorded generators, or a group lent by find_isomorphism: an
+isomorphism found between two graphs of which exactly one has a record
+leaves that group and the isomorphism on the other graph, and the
+generators are conjugated across only when a canonical walk uses them.
+Either group
+joins the walk at its first orbit-pruning pass and prunes by the orbit
+rule alone, never by the jump back.  The form is the first leaf in
+depth-first order with the least relabelled adjacency, and every leaf
+that orbit pruning skips is the image of an earlier leaf with the same
+adjacency, so that first leaf is never skipped: the form does not depend
+on what ran before.  A lent group is never recorded, so automorphism_group
+still answers from a walk of the graph itself.
 """
 
 from __future__ import annotations
@@ -78,7 +88,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import Graph, _check_cap, _check_deadline, _edge_list, bits
-from .perms import Perm, PermGroup, _orbit_mask
+from .perms import Perm, PermGroup, _inv, _mul, _orbit_mask
 
 
 @dataclass(frozen=True)
@@ -327,7 +337,7 @@ def _is_twin_cell(adj, cell):
     return True
 
 
-def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
+def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=None):
     """Walk the search tree of g below the initial colouring ``cells``
     (cell masks, refined in place).  Return None when the root's
     refinement trace differs from the root entry of ``path``; otherwise a
@@ -374,11 +384,16 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
     orbit-pruning pass (the canonical form of two 6-cycles and twenty
     triangles took about nine times as long).
 
-    ``harvest``, a callable with no arguments that returns automorphisms
-    of g, is called once, as soon as the walk has refined more nodes below
-    the root than g has vertices; what it returns joins ``found``.  Those
-    maps come from no explored leaf, so they prune by the orbit rule only
-    and never make the walk jump back.
+    ``harvest`` and ``seeds`` (a walk takes at most one) are callables
+    with no arguments that return automorphisms of g, and each is called
+    once: ``harvest`` as soon as the walk has refined more nodes below
+    the root than g has vertices, ``seeds`` at the walk's first
+    orbit-pruning pass, so that a walk with none (one down twin cells,
+    say) never computes their supports.  What either returns joins
+    ``found`` with its supports.  Those maps come from no explored leaf,
+    so they prune by the orbit rule only and never make the walk jump
+    back.  An orbit pass stops closing the orbit once it holds every
+    candidate left.
     """
     adj = g.adj
     if found is None:
@@ -395,7 +410,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
             path.append((vertex, trace))
         return True
 
-    def walk(cells, harvest):
+    def walk(cells, harvest, seeds):
         k = _target_cell(cells)
         if k < 0:
             yield cells
@@ -422,15 +437,15 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
                     support.append(current | second)
                     stack.pop()
                     continue
-            if harvest is not None and refined > g.n:
-                for a in harvest():
+            if harvest is not None and refined > g.n or seeds is not None and explored and left:
+                for a in (harvest or seeds)():
                     found.append(a)
                     support.append(_support(a))
-                harvest = None
+                harvest = seeds = None
             if explored and left and support:
                 fixers = [a.images for a, moved in zip(found, support) if not moved & prefix]
                 if fixers:
-                    left &= ~_orbit_mask(fixers, explored)
+                    left &= ~_orbit_mask(fixers, explored, left)
             if not left:
                 stack.pop()
                 continue
@@ -471,7 +486,7 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None):
 
     if not refine_node(cells, deque(cells), None, 0):
         return None
-    return walk(cells, harvest)
+    return walk(cells, harvest, seeds)
 
 
 def _leaf_map(leaf_a, leaf_b):
@@ -525,6 +540,9 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
 
 
 _RECORD = "_aut_search"  # g's instance dict entry: (group, marshalled first path, first leaf)
+# g's instance dict entry: (group, p, onto), the recorded group of another
+# graph f and an isomorphism p from f onto g (onto True) or from g onto f
+_LENT = "_lent_group"
 
 
 def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadline=None) -> PermGroup:
@@ -581,6 +599,12 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     has one.  Either way the witness is the same.  A harvest that searches
     h records that search on h, as automorphism_group does, so h keeps it
     for as long as h lives.
+
+    When a witness p is found and exactly one of g and h has a record,
+    that group and p are lent to the other graph, which keeps them as long
+    as it lives, outside its record, and out of pickles and copies.  Only
+    canonical_form reads them, and conjugates the generators across p
+    when it uses them; nothing is conjugated here.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -604,8 +628,22 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     for other in others:
         p = Perm(_leaf_map(leaf, other))
         if verify_isomorphism(g, h, p):
+            record_g, record_h = vars(g).get(_RECORD), vars(h).get(_RECORD)
+            if record_h is None and record_g is not None:
+                vars(h)[_LENT] = (record_g[0], p, True)
+            elif record_g is None and record_h is not None:
+                vars(g)[_LENT] = (record_h[0], p, False)
             return p
     return None
+
+
+def _lent_generators(group, p, onto):
+    """The generators of a lent group carried onto the borrowing graph:
+    each a becomes b with b[q[i]] = q[a[i]], where q is p when p maps the
+    group's graph onto the borrower and p's inverse otherwise."""
+    inv = _inv(p.images)
+    q, r = (p.images, inv) if onto else (inv, p.images)
+    return [Perm(_mul(q, _mul(a.images, r))) for a in group.generators]
 
 
 @dataclass(frozen=True)
@@ -643,13 +681,27 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     repeat leaf values already seen, so the minimum is unaffected and
     isomorphic graphs agree on it.  ``deadline`` is checked at every
     search node as in automorphism_group.
+
+    A group already known for g prunes the walk by orbits too: the one
+    that an uncoloured automorphism_group(g) recorded, or else one that
+    find_isomorphism lent g, conjugated across its isomorphism.  It joins
+    at the walk's first orbit-pruning pass, so a walk with none reads
+    nothing of it.  The form, ordering included, is the one a walk with
+    no such group gives (see the module docstring).
     """
     _check_cap(g.n, cap)
     n = g.n
+    record, lent = vars(g).get(_RECORD), vars(g).get(_LENT)
+    if record is not None:
+        seeds = lambda: record[0].generators
+    elif lent is not None:
+        seeds = lambda: _lent_generators(*lent)
+    else:
+        seeds = None
     known = []
     positions = [1 << i for i in range(n)]
     best_key = best_leaf = None
-    for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline):
+    for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline, seeds=seeds):
         relabel = _leaf_map(leaf, positions)
         rows = [0] * n
         if n < _TABLE_LIMIT:

@@ -836,7 +836,8 @@ class TestVerifyArgument:
     @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (7, 3)])
     def test_trivial_action_fails_injectivity(self, monkeypatch, capsys, n, m):
         monkeypatch.setattr(
-            jgraphs.johnson, "induced_action", lambda theta, n, m: Perm.identity(binomial(n, m))
+            jgraphs.johnson, "induced_action",
+            lambda theta, n, m, cap=None: Perm.identity(binomial(n, m)),
         )
         names = ["induced_action_injective"]
         if n == 2 * m:
@@ -848,15 +849,15 @@ class TestVerifyArgument:
         real = jgraphs.johnson.induced_action
         klein = Perm.from_cycles(4, (0, 1), (2, 3))
 
-        def fake(theta, n, m):
-            return Perm.identity(6) if theta == klein else real(theta, n, m)
+        def fake(theta, n, m, cap=None):
+            return Perm.identity(6) if theta == klein else real(theta, n, m, cap=cap)
 
         monkeypatch.setattr(jgraphs.johnson, "induced_action", fake)
         self.assert_fails(capsys, 4, 2, "induced_action_injective")
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_induced_involution_is_not_complementation(self, monkeypatch, capsys, m):
-        def fake(m):
+        def fake(m, cap=None):
             halves = Perm.from_cycles(2 * m, *[(i, m + i) for i in range(m)])
             return induced_action(halves, 2 * m, m)
 
@@ -876,9 +877,11 @@ class TestVerifyArgument:
         monkeypatch.setattr(
             jgraphs.johnson,
             "induced_action",
-            lambda theta, n, m: Perm.identity(20) if theta in standard else real(theta, n, m),
+            lambda theta, n, m, cap=None: (
+                Perm.identity(20) if theta in standard else real(theta, n, m, cap=cap)
+            ),
         )
-        monkeypatch.setattr(jgraphs.johnson, "complementation_map", lambda m: halves)
+        monkeypatch.setattr(jgraphs.johnson, "complementation_map", lambda m, cap=None: halves)
         rep = verify_johnson_aut(6, 3)
         premises = ["complement_map_involution", "induced_subgroup_order", "complement_map_commutes"]
         assert all(rep.check(name).passed for name in premises)
@@ -901,10 +904,12 @@ class TestVerifyArgument:
             return compose(sigma, compose(p, sigma))
 
         monkeypatch.setattr(
-            jgraphs.johnson, "induced_action", lambda theta, n, m: conjugate(real_action(theta, n, m))
+            jgraphs.johnson, "induced_action",
+            lambda theta, n, m, cap=None: conjugate(real_action(theta, n, m, cap=cap)),
         )
         monkeypatch.setattr(
-            jgraphs.johnson, "complementation_map", lambda m: conjugate(real_complement(m))
+            jgraphs.johnson, "complementation_map",
+            lambda m, cap=None: conjugate(real_complement(m, cap=cap)),
         )
         rep = verify_johnson_aut(n, m)
         # the transitivity checks read the same lifts, so the edge orbit runs

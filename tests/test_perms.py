@@ -191,6 +191,18 @@ class TestOrbits:
         assert aut.orbits() == (frozenset(range(3)), frozenset(range(3, 7)))
         assert aut.orbits() == orbit_partition(aut)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_closure_stopped_at_until_meets_it_as_the_full_one(self, data):
+        # the search's orbit pass stops once the orbit holds every candidate
+        n = data.draw(st.integers(1, 12))
+        gens = [p.images for p in data.draw(st.lists(perms(n), max_size=4))]
+        start, until = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=2))
+        full = jgraphs.perms._orbit_mask(gens, start)
+        early = jgraphs.perms._orbit_mask(gens, start, until)
+        assert early & until == full & until
+        assert start & ~early == 0 and early & ~full == 0
+
 
 class TestSeededChain:
     # Sym(4) relative to the base (0, 1, 2): the generators that fix

@@ -1,5 +1,7 @@
+import copy
 import marshal
 import math
+import pickle
 import random
 import sys
 import time
@@ -431,21 +433,25 @@ class TestRefinementTrace:
         assert trace == [(0, [(11, 12)])]
         self.assert_kernel_matches_reference(complete_graph(12).adj, [full], [full], altered=0)
 
+    # (automorphism_group, canonical_form fresh, canonical_form seeded by
+    # the recorded group)
     @pytest.mark.parametrize("name,make,counts", [
-        ("Paley(29)", lambda: paley(29), (7, 7)),
-        ("Kneser(7,3)", lambda: kneser_graph(7, 3), (28, 28)),
-        ("L(K7)", lambda: line_graph(complete_graph(7))[0], (28, 28)),
-        ("C60", lambda: cycle_union([60]), (6, 6)),
-        ("Chang", chang, (33, 35)),
+        ("Paley(29)", lambda: paley(29), (7, 7, 3)),
+        ("Kneser(7,3)", lambda: kneser_graph(7, 3), (28, 28, 7)),
+        ("L(K7)", lambda: line_graph(complete_graph(7))[0], (28, 28, 7)),
+        ("C60", lambda: cycle_union([60]), (6, 6, 3)),
+        ("Chang", chang, (33, 35, 17)),
     ])
     def test_search_refinement_counts(self, monkeypatch, name, make, counts):
         # the kernel's speed must not come from a different walk
         g = make()
         refines = count_calls(monkeypatch, "_refine")
-        automorphism_group(g)
-        group_calls = len(refines)
         canonical_form(g)
-        assert (group_calls, len(refines) - group_calls) == counts
+        fresh = len(refines)
+        automorphism_group(g)
+        group_calls = len(refines) - fresh
+        canonical_form(g)
+        assert (group_calls, fresh, len(refines) - fresh - group_calls) == counts
 
 
 class TestAutomorphismGroup:
@@ -1352,6 +1358,93 @@ class TestSearchRecord:
         p = find_isomorphism(g, g)
         assert p is not None and verify_isomorphism(g, g, p)
         assert len(walks) == 2
+
+
+class TestSeededCanonicalForm:
+    """canonical_form prunes by the recorded group of its graph, or by one
+    lent to it by find_isomorphism, and its form must not depend on
+    whether either is there."""
+
+    GRAPHS = {
+        **TestSearchRecord.GRAPHS,
+        "Kneser(7,3)": kneser_graph(7, 3),
+        "Paley(29)": paley(29),
+        "2C6+6C3": cycle_union([6, 6] + [3] * 6),
+        "C5+C5+C4+C4+C3": cycle_union([5, 5, 4, 4, 3]),
+        "K5,7": complete_bipartite(5, 7),
+        "E9": Graph(9, [0] * 9),
+    }
+
+    @staticmethod
+    def forms(g, f):
+        """(ordering, edges) of canonical_form on new copies of g: fresh,
+        after automorphism_group, after find_isomorphism(f, copy) and after
+        find_isomorphism(copy, f), where f is isomorphic to g and has a
+        recorded group.  Every generator lent to a copy is checked to be
+        an automorphism of it."""
+        out = []
+        for run in ("fresh", "group", "lent onto", "lent back"):
+            x = Graph(g.n, g.adj)
+            if run == "group":
+                automorphism_group(x)
+            elif run != "fresh":
+                p = find_isomorphism(f, x) if run == "lent onto" else find_isomorphism(x, f)
+                assert p is not None and "_aut_search" not in vars(x)
+                lent = jgraphs.search._lent_generators(*vars(x)["_lent_group"])
+                assert all(check_automorphism(x, a) for a in lent)
+            form = canonical_form(x)
+            out.append((form.ordering, form.edges))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_form_does_not_depend_on_what_ran_before(self, name):
+        g = shuffled(self.GRAPHS[name], name)
+        f = shuffled(g, 1)
+        automorphism_group(f)
+        first, *others = self.forms(g, f)
+        assert others == [first] * 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_form_does_not_depend_on_what_ran_before_property(self, data):
+        n = data.draw(st.integers(1, 12))
+        g = draw_graph(data, n)
+        f = relabel(g, Perm(data.draw(st.permutations(range(n)))))
+        automorphism_group(f)
+        first, *others = self.forms(g, f)
+        assert others == [first] * 3
+
+    def test_lent_group_is_left_out_of_copies_and_records(self):
+        g = kneser_graph(7, 3)
+        h = shuffled(g, 4)
+        fresh = automorphism_group(Graph(h.n, h.adj))
+        automorphism_group(g)
+        assert find_isomorphism(g, h) is not None
+        assert "_lent_group" in vars(h)
+        for other in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+            assert other == h and "_lent_group" not in vars(other)
+        # h's own group is what a walk of h alone gives, never the lent one
+        aut = automorphism_group(h)
+        assert (aut.generators, aut.base) == (fresh.generators, fresh.base)
+        assert vars(h)["_aut_search"][0] is aut
+
+    def test_lent_only_when_one_graph_has_a_record(self):
+        g, h = kneser_graph(6, 2), shuffled(kneser_graph(6, 2), 2)
+        assert find_isomorphism(g, h) is not None
+        assert "_lent_group" not in vars(g) | vars(h)
+        automorphism_group(g)
+        automorphism_group(h)
+        assert find_isomorphism(g, h) is not None
+        assert "_lent_group" not in vars(g) | vars(h)
+
+    def test_walk_that_never_prunes_by_orbits_takes_no_seeds(self, monkeypatch):
+        # one descent down twin cells has no orbit pass, so the recorded
+        # generators are never read and no support is computed
+        g = Graph(60, [0] * 60)
+        automorphism_group(g)
+        supports = count_calls(monkeypatch, "_support")
+        assert sorted(canonical_form(g).ordering) == list(range(60))
+        assert supports == []
 
 
 class TestOracles:

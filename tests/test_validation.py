@@ -13,6 +13,7 @@ from jgraphs import (
     Perm,
     PermGroup,
     SubsetLabel,
+    VertexCapExceeded,
     automorphism_group,
     bipartite_aut_order,
     canonical_form,
@@ -147,6 +148,13 @@ CASES = [
      "ground set size must be in 0..64, got 65"),
     ("complementation_map", lambda: complementation_map(0), ValueError,
      "subset size must be positive, got 0"),
+    # refused before the C(26, 13) subsets are listed
+    ("induced_action cap", lambda: induced_action(Perm.identity(26), 26, 13), VertexCapExceeded,
+     "graph has 10400600 vertices, cap is 5000"),
+    ("complementation_map cap", lambda: complementation_map(13), VertexCapExceeded,
+     "graph has 10400600 vertices, cap is 5000"),
+    ("complementation_map given cap", lambda: complementation_map(3, cap=19), VertexCapExceeded,
+     "graph has 20 vertices, cap is 19"),
     ("whitney_lift non-edge", lambda: whitney_lift(Perm.identity(3), P3, [(0, 1), (0, 2)]),
      ValueError, "edge map entry (0,2) is not an edge of the base graph"),
     ("neighborhood_iso label", lambda: neighborhood_iso(5, 2, SubsetLabel(6, 0b11)), ValueError,
