@@ -97,16 +97,15 @@ def _deadline(limit: float) -> float | None:
 def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     """Construct a graph from family tokens; returns (graph, family, leftovers).
 
-    line-of recurses, so ``line-of complete 4`` builds L(K_4).  Vertex
-    counts are checked against the cap before a graph is built.
+    line-of recurses, so ``line-of complete 4`` builds L(K_4).  Every
+    builder checks its vertex count against the cap before it builds.
     """
     if not tokens:
         raise ValueError("missing graph family (johnson|kneser|complete|bipartite|line-of)")
     name, rest = tokens[0], tokens[1:]
     if name == "line-of":
         base, _, rest = _build_family(rest, cap)
-        _check_cap(base.edge_count(), cap)
-        lg, _ = line_graph(base)
+        lg, _ = line_graph(base, cap=cap)
         return lg, name, rest
     if name not in FAMILY_PARAM_COUNTS:
         raise ValueError(f"unknown graph family {name!r}")
@@ -123,11 +122,9 @@ def _build_family(tokens: list[str], cap: int) -> tuple[Graph, str, list[str]]:
     elif name == "kneser":
         g = kneser_graph(params[0], params[1], cap=cap)
     elif name == "complete":
-        _check_cap(params[0], cap)
-        g = complete_graph(params[0])
+        g = complete_graph(params[0], cap=cap)
     else:
-        _check_cap(params[0] + params[1], cap)
-        g = complete_bipartite(params[0], params[1])
+        g = complete_bipartite(params[0], params[1], cap=cap)
     return g, name, rest
 
 

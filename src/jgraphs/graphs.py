@@ -210,15 +210,19 @@ class DistancePartition:
         return frozenset(v for v, d in enumerate(self.dist) if d is None)
 
 
-def complete_graph(n: int) -> Graph:
+def complete_graph(n: int, *, cap: int | None = None) -> Graph:
+    """K_n; ``cap`` as in johnson_graph."""
+    _check_cap(n, cap)
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << v) for v in range(n)])
 
 
-def complete_bipartite(s: int, t: int) -> Graph:
-    """K_{s,t} with side X = 0..s-1 and side Y = s..s+t-1."""
+def complete_bipartite(s: int, t: int, *, cap: int | None = None) -> Graph:
+    """K_{s,t} with side X = 0..s-1 and side Y = s..s+t-1; ``cap`` as in
+    johnson_graph."""
+    _check_cap(s + t, cap)
     if s < 1 or t < 1:
         raise ValueError("both sides of a complete bipartite graph must be nonempty")
     n = s + t
@@ -274,14 +278,16 @@ def kneser_graph(n: int, m: int, cap: int | None = None) -> Graph:
     return Graph._from_nbrs(nbrs, labels)
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
+def line_graph(g: Graph, *, cap: int | None = None) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of g plus the edge map.
 
     Line-graph vertex i corresponds to ``edge_map[i]``; the map lists g's
     edges as (u, v) with u < v in lexicographic order, and that order is a
     frozen contract.  Two line vertices are adjacent when the underlying
-    edges share exactly one endpoint.
+    edges share exactly one endpoint.  Over ``cap`` edges of g (None:
+    DEFAULT_VERTEX_CAP) it raises VertexCapExceeded before listing them.
     """
+    _check_cap(g.edge_count(), cap)
     edge_map = tuple(g.edges())
     if not edge_map:
         raise ValueError("line graph of an edgeless graph is not defined here")

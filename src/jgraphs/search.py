@@ -12,13 +12,12 @@ order is not, so it stays a presentation rule only.
 Refinement reads a graph's adjacency rows as bit masks: a splitter's
 rows are added into bit planes of its neighbour counts, in one pass that
 also ORs their union, and a single vertex's row is its one plane.  Maps
-are read the other way: the leaf checks behind check_automorphism and
-verify_isomorphism, and the canonical relabelling, read each row from
-``Graph.nbrs``, the graph's neighbour view.  Below
-``_TABLE_LIMIT`` vertices they add up a row's images from a table of
-one-bit masks built once per map; from it on, where those masks are long
-ints, the leaf checks compare sorted neighbour tuples and the canonical
-relabelling ORs one bit per neighbour.
+are read the other way, from ``Graph.nbrs``, the graph's neighbour view:
+a row's image adds up its neighbours' entries in a table of one-bit
+masks built once per map.  The canonical relabelling does so at every
+size; the leaf checks behind check_automorphism and verify_isomorphism
+(``_maps_edges``, the one reader of ``_TABLE_LIMIT``) compare sorted
+neighbour tuples from that size on.
 
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
@@ -62,23 +61,17 @@ over one walk with no trace pruning, which prunes by the automorphisms it
 finds and by every map between two leaves with equal relabelled
 adjacency.
 
-A graph searched once is not searched again for the same answer: a
-completed automorphism_group(g) with no colouring records its group,
-first path and first leaf on g, which automorphism_group and
-find_isomorphism read in place of a walk of g.  They are what a new walk
-would produce, so the record never changes an output.  canonical_form
-reads the recorded generators, or a group lent by find_isomorphism: an
-isomorphism found between two graphs of which exactly one has a record
-leaves that group and the isomorphism on the other graph, and the
-generators are conjugated across only when a canonical walk uses them.
-Either group
-joins the walk at its first orbit-pruning pass and prunes by the orbit
-rule alone, never by the jump back.  The form is the first leaf in
-depth-first order with the least relabelled adjacency, and every leaf
-that orbit pruning skips is the image of an earlier leaf with the same
-adjacency, so that first leaf is never skipped: the form does not depend
-on what ran before.  A lent group is never recorded, so automorphism_group
-still answers from a walk of the graph itself.
+A graph searched once is not searched again for the same answer:
+automorphism_group records a completed uncoloured search on its graph,
+find_isomorphism lends a recorded group to an isomorphic graph that has
+none, and canonical_form prunes by either (each docstring says how).  A
+record is what a new walk would produce, so it never changes an output,
+and a lent group is never recorded, so automorphism_group still answers
+from a walk of the graph itself.  Nor does a known group change a
+canonical form: the form is the first leaf in depth-first order with the
+least relabelled adjacency, and every leaf that orbit pruning skips is
+the image of an earlier leaf with the same adjacency, so that first leaf
+is never skipped.
 """
 
 from __future__ import annotations
@@ -271,12 +264,16 @@ def _target_cell(cells):
     return best
 
 
-# Below this many vertices a row's image is summed from a table of one-bit
-# masks, built once per map.  From it on the entries are long ints, each
-# addition costs O(n), and the table loses to an OR per neighbour (on
-# CPython 3.11, 2 vCPUs, the two break even between 2,000 and 3,000
-# vertices), so _maps_edges compares sorted neighbour tuples and
-# canonical_form ORs bit by bit.
+# From this many vertices on, _maps_edges, its one reader, compares sorted
+# neighbour tuples instead of summing a table of one-bit masks: the
+# entries are long ints there, and each addition costs O(n).  On CPython
+# 3.11, 2 vCPUs, one check of J(16,8) (12,870 vertices) took 397 ms
+# through the table against 212 ms, with 9 MB more peak RSS, where CI
+# bounds the J(16,8) and J(18,9) verify runs by their peak RSS.  Below it
+# the table is faster per map: about 2x on Paley(53), 1.0-1.6x on J(12,6).
+# canonical_form relabels through the table at every size: its relabelling
+# is a small share of each walk, and whole calls past this size took as
+# long as with an OR per neighbour.
 _TABLE_LIMIT = 2048
 
 
@@ -540,8 +537,8 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
 
 
 _RECORD = "_aut_search"  # g's instance dict entry: (group, marshalled first path, first leaf)
-# g's instance dict entry: (group, p, onto), the recorded group of another
-# graph f and an isomorphism p from f onto g (onto True) or from g onto f
+# g's instance dict entry: (group, q), the recorded group of another graph
+# and the images of an isomorphism q from that graph onto g
 _LENT = "_lent_group"
 
 
@@ -601,10 +598,12 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     for as long as h lives.
 
     When a witness p is found and exactly one of g and h has a record,
-    that group and p are lent to the other graph, which keeps them as long
-    as it lives, outside its record, and out of pickles and copies.  Only
-    canonical_form reads them, and conjugates the generators across p
-    when it uses them; nothing is conjugated here.
+    that group is lent to the other graph with the isomorphism from the
+    group's graph onto it (p, or p's inverse), and the borrower keeps
+    them as long as it lives, outside its record, and out of pickles and
+    copies.  Only canonical_form reads them, through _known_generators,
+    which conjugates the generators when a canonical walk uses them;
+    nothing is conjugated here.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -630,19 +629,24 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
         if verify_isomorphism(g, h, p):
             record_g, record_h = vars(g).get(_RECORD), vars(h).get(_RECORD)
             if record_h is None and record_g is not None:
-                vars(h)[_LENT] = (record_g[0], p, True)
+                vars(h)[_LENT] = (record_g[0], p.images)
             elif record_g is None and record_h is not None:
-                vars(g)[_LENT] = (record_h[0], p, False)
+                vars(g)[_LENT] = (record_h[0], _inv(p.images))
             return p
     return None
 
 
-def _lent_generators(group, p, onto):
-    """The generators of a lent group carried onto the borrowing graph:
-    each a becomes b with b[q[i]] = q[a[i]], where q is p when p maps the
-    group's graph onto the borrower and p's inverse otherwise."""
-    inv = _inv(p.images)
-    q, r = (p.images, inv) if onto else (inv, p.images)
+def _known_generators(g):
+    """The generators of a group already known for g: its record's, or else
+    those of a lent group carried across its map q onto g (each a becomes
+    b with b[q[i]] = q[a[i]]), or else none."""
+    record, lent = vars(g).get(_RECORD), vars(g).get(_LENT)
+    if record is not None:
+        return record[0].generators
+    if lent is None:
+        return ()
+    group, q = lent
+    r = _inv(q)
     return [Perm(_mul(q, _mul(a.images, r))) for a in group.generators]
 
 
@@ -682,44 +686,25 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     isomorphic graphs agree on it.  ``deadline`` is checked at every
     search node as in automorphism_group.
 
-    A group already known for g prunes the walk by orbits too: the one
-    that an uncoloured automorphism_group(g) recorded, or else one that
-    find_isomorphism lent g, conjugated across its isomorphism.  It joins
-    at the walk's first orbit-pruning pass, so a walk with none reads
-    nothing of it.  The form, ordering included, is the one a walk with
-    no such group gives (see the module docstring).
+    A group already known for g (``_known_generators``) prunes the walk
+    by orbits too.  It joins at the walk's first orbit-pruning pass, so a
+    walk with none reads nothing of it.  The form, ordering included, is
+    the one a walk with no such group gives (see the module docstring).
     """
     _check_cap(g.n, cap)
-    n = g.n
-    record, lent = vars(g).get(_RECORD), vars(g).get(_LENT)
-    if record is not None:
-        seeds = lambda: record[0].generators
-    elif lent is not None:
-        seeds = lambda: _lent_generators(*lent)
-    else:
-        seeds = None
+    n, nbrs = g.n, g.nbrs
     known = []
-    positions = [1 << i for i in range(n)]
-    best_key = best_leaf = None
-    for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline, seeds=seeds):
-        relabel = _leaf_map(leaf, positions)
-        rows = [0] * n
-        if n < _TABLE_LIMIT:
-            # the leaf is a bijection, so the table of _maps_edges applies
-            get = [1 << i for i in relabel].__getitem__
-            for v, nbrs in enumerate(g.nbrs):
-                rows[relabel[v]] = sum(map(get, nbrs))
-        else:
-            for v, nbrs in enumerate(g.nbrs):
-                mapped = 0
-                for w in nbrs:
-                    mapped |= 1 << relabel[w]
-                rows[relabel[v]] = mapped
-        key = tuple(rows)
+    best_key = best_order = best_position = None
+    for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline,
+                        seeds=lambda: _known_generators(g)):
+        # the leaf is a bijection, so the table of _maps_edges applies
+        order = [cell.bit_length() - 1 for cell in leaf]
+        position = _inv(order)
+        get = [1 << i for i in position].__getitem__
+        key = tuple(sum(map(get, nbrs[v])) for v in order)
         if best_key is None or key < best_key:
-            best_key, best_leaf = key, leaf
+            best_key, best_order, best_position = key, order, position
         elif key == best_key:
             # equal relabelled adjacency: the map between the leaves is an automorphism
-            known.append(Perm(_leaf_map(best_leaf, leaf)))
-    ordering = [cell.bit_length() - 1 for cell in best_leaf]
-    return CanonicalForm(n, ordering, _edge_list(best_key))
+            known.append(Perm(_mul(order, best_position)))
+    return CanonicalForm(n, best_order, _edge_list(best_key))

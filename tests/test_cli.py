@@ -23,6 +23,7 @@ from jgraphs import (
     write_graph6,
     __version__,
 )
+import jgraphs.cli
 from jgraphs.cli import main
 
 
@@ -101,12 +102,19 @@ class TestGen:
     def test_over_cap_family_is_rejected_before_it_is_built(
         self, capsys, monkeypatch, builder, family
     ):
-        def refuse(*args):
-            raise AssertionError(f"{builder} called for an over-cap graph")
+        # the CLI hands its cap to the builder, which refuses the graph
+        # before it lists a row or an edge
+        build, caps = getattr(jgraphs.cli, builder), []
 
-        monkeypatch.setattr(f"jgraphs.cli.{builder}", refuse)
+        def spy(*args, cap):
+            caps.append(cap)
+            return build(*args, cap=cap)
+
+        monkeypatch.setattr(f"jgraphs.cli.{builder}", spy)
+        start = time.monotonic()
         code, _, err = run_cli(capsys, "gen", *family)
-        assert code == 3
+        assert time.monotonic() - start < 1
+        assert code == 3 and caps == [5000]
         assert "cap is 5000" in err
 
     def test_env_var_cap(self, capsys, monkeypatch):

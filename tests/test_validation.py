@@ -3,6 +3,7 @@ exception with a message that names the fault.  Then the public paths that
 no other test runs, each with the value it returns."""
 
 import re
+import time
 
 import pytest
 
@@ -155,6 +156,13 @@ CASES = [
      "graph has 10400600 vertices, cap is 5000"),
     ("complementation_map given cap", lambda: complementation_map(3, cap=19), VertexCapExceeded,
      "graph has 20 vertices, cap is 19"),
+    ("complete_graph cap", lambda: complete_graph(6000), VertexCapExceeded,
+     "graph has 6000 vertices, cap is 5000"),
+    ("complete_bipartite cap", lambda: complete_bipartite(3000, 3000), VertexCapExceeded,
+     "graph has 6000 vertices, cap is 5000"),
+    # L(K_120) has 7,140 vertices, one per edge of K_120
+    ("line_graph cap", lambda: line_graph(complete_graph(120)), VertexCapExceeded,
+     "graph has 7140 vertices, cap is 5000"),
     ("whitney_lift non-edge", lambda: whitney_lift(Perm.identity(3), P3, [(0, 1), (0, 2)]),
      ValueError, "edge map entry (0,2) is not an edge of the base graph"),
     ("neighborhood_iso label", lambda: neighborhood_iso(5, 2, SubsetLabel(6, 0b11)), ValueError,
@@ -182,6 +190,30 @@ CASES = [
 def test_rejects_invalid_argument(call, exception, message):
     with pytest.raises(exception, match=re.escape(message)):
         call()
+
+
+# (a family builder at a size past the default cap, the same builder at
+# six vertices); the large graphs are the cap rows of CASES
+BUILDERS = [
+    ("complete_graph", lambda: complete_graph(6000), lambda cap: complete_graph(6, cap=cap)),
+    ("complete_bipartite", lambda: complete_bipartite(3000, 3000),
+     lambda cap: complete_bipartite(3, 3, cap=cap)),
+    ("line_graph", lambda: line_graph(complete_graph(120)),
+     lambda cap: line_graph(complete_graph(4), cap=cap)[0]),
+]
+
+
+@pytest.mark.parametrize("large, small", [case[1:] for case in BUILDERS],
+                         ids=[case[0] for case in BUILDERS])
+def test_builder_checks_its_cap_first(large, small):
+    # refused before a row or an edge is listed: K_6000 takes seconds to build
+    start = time.monotonic()
+    with pytest.raises(VertexCapExceeded):
+        large()
+    assert time.monotonic() - start < 0.1
+    with pytest.raises(VertexCapExceeded, match="graph has 6 vertices, cap is 5"):
+        small(5)
+    assert small(6).n == 6
 
 
 SEED = PartialVertexMap(P3, {0: 2, 1: 1})
