@@ -7,59 +7,17 @@ cells by the refinement trace: when a cell splits, its fragments take its
 position ordered by ascending splitter count.  Trace order is preserved by
 relabelling (the counts are invariants), which is what makes cross-branch
 cell pairing and the canonical search correct; the (size, smallest member)
-order is not, so it stays a presentation rule only.
-
-Refinement reads a graph's adjacency rows as bit masks: a splitter's
-rows are added into bit planes of its neighbour counts, in one pass that
-also ORs their union, and a single vertex's row is its one plane.  Maps
-are read the other way, from ``Graph.nbrs``, the graph's neighbour view:
-a row's image adds up its neighbours' entries in a table of one-bit
-masks built once per map.  The canonical relabelling does so at every
-size; the leaf checks behind check_automorphism and verify_isomorphism
-(``_maps_edges``, the one reader of ``_TABLE_LIMIT``) compare sorted
-neighbour tuples from that size on.
+order is not, so it stays a presentation rule only.  Refinement reads a
+graph's adjacency rows as bit masks; maps read its neighbour view,
+``Graph.nbrs``.
 
 Everything here is deterministic: target cells are the first smallest
 non-singleton cell in trace order and branch candidates run in ascending
-vertex order.  The first path takes the smallest candidate at every level
-and keeps the refinement trace of each of its nodes, the root's first:
-one positioned count signature for each non-singleton cell that a
-splitter reaches (holds a neighbour of), which an isomorphism preserves.
-A branch queues only the vertex it individualizes: the rest of that cell
-cannot split an equitable partition.
-
-One walker, ``_leaves``, walks a graph's search tree depth first from the
-unrefined initial colouring, and one rule inside it refines every node of
-a search, the root included: it only refines, or follows the first path's
-trace at a level the path holds, or records a new level.  It yields the
-first leaf, then every later leaf whose map from the first is
-no automorphism, by the moved-rows check behind check_automorphism; each
-accepted map is an automorphism that prunes the rest of the walk.  Its
-pruning rules are each sound for any search: a node whose refinement
-trace differs from the first path's is dropped at the first difference, a
-candidate in the orbit of an explored sibling under the known
-automorphisms that fix the branch's prefix is skipped, and after an
-automorphism from an explored leaf the walk jumps back to where its two
-paths part.  A target cell of pairwise twins (vertices whose rows agree
-outside the pair) is one orbit of its node's stabilizer: the walk leaves
-such a node after its first child, and on the first path it hands over
-the transposition of the cell's two smallest members, so edgeless,
-complete and complete bipartite graphs cost one descent, not one per
-generator.  The first path's vertices are a base for the automorphism
-group, and the generators found are strong for it, so the group's
-stabilizer chain is seeded with no Schreier-Sims pass.  An isomorphism
-is the first leaf of h's tree, walked along g's first path, onto which
-verify_isomorphism accepts the map from g's first leaf; when h's root
-trace differs from g's, neither graph's tree is descended.  A non-isomorphic
-pair that refinement cannot split meets no leaf of h that matches g's
-path, so that walk finds no automorphism of h by itself: once it has
-refined more nodes than h has vertices, it takes the generators of
-automorphism_group(h) once and prunes by their orbits from then on.  Each
-witness is so checked once, by the public checker, where the search finds
-it.  The canonical form is the leaf with the least relabelled adjacency
-over one walk with no trace pruning, which prunes by the automorphisms it
-finds and by every map between two leaves with equal relabelled
-adjacency.
+vertex order.  All three searches walk their trees through one walker,
+``_leaves``, and each witness is checked once, where the walk finds it.
+Edgeless, complete and complete bipartite graphs meet the walk as cells
+of pairwise twins, each decided once, when its node is pushed, so such a
+graph costs one descent.
 
 A graph searched once is not searched again for the same answer:
 automorphism_group records a completed uncoloured search on its graph,
@@ -67,11 +25,7 @@ find_isomorphism lends a recorded group to an isomorphic graph that has
 none, and canonical_form prunes by either (each docstring says how).  A
 record is what a new walk would produce, so it never changes an output,
 and a lent group is never recorded, so automorphism_group still answers
-from a walk of the graph itself.  Nor does a known group change a
-canonical form: the form is the first leaf in depth-first order with the
-least relabelled adjacency, and every leaf that orbit pruning skips is
-the image of an earlier leaf with the same adjacency, so that first leaf
-is never skipped.
+from a walk of the graph itself.
 """
 
 from __future__ import annotations
@@ -352,7 +306,9 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=
     pruned; equal traces give equal cell shapes, so every target cell sits
     where the first path's did.  Past the path's end, the node's vertex
     and trace are appended: an empty ``path`` is filled by the root and
-    the walk's first descent, which ends at the first leaf.
+    the walk's first descent, which ends at the first leaf.  A branch
+    queues only the vertex it individualizes: the rest of that cell cannot
+    split an equitable partition.
 
     Each accepted map is appended to ``found`` as a Perm, and a consumer
     may append automorphisms of its own after a leaf.  Two rules skip
@@ -366,19 +322,22 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=
     first-path vertices.  Each node below the root checks ``deadline``
     before it refines its branch.
 
-    A node whose target cell is a twin cell (``_is_twin_cell``) is popped
-    as soon as the walk returns to it from its first child: the
+    A node whose target cell is a twin cell (``_is_twin_cell``) is decided
+    when it is pushed: its smallest member is its only candidate, as the
     transpositions of twins fix its prefix and map that child's subtree
-    onto every sibling's.  On the first path the walk first appends the
-    transposition of the cell's two smallest members, once
-    ``_swaps_twins`` has checked it on their two rows.  Individualizing a
-    twin splits no other cell and leaves the rest of its cell as the next
-    target, so these transpositions generate the cell's symmetric group
-    and stay strong for the base.  Off the first path no transposition is
-    appended:
-    handing one over at every twin node left every output and refinement
-    count as it was, yet each extra generator lengthens every later
-    orbit-pruning pass (the canonical form of two 6-cycles and twenty
+    onto every sibling's.  Individualizing a twin splits no other cell of
+    an equitable partition, so the rest of the cell, if not a singleton,
+    sits at the next position, is the unique smallest cell and is twin
+    again: the child inherits its target and its twin-ness, and a walk
+    tests each twin cell once, where it meets it.  A twin node pushed on
+    the first descent carries the transposition of the cell's two smallest
+    members, and appends it when it pops with the first leaf found (so on
+    the first path only), once ``_swaps_twins`` has checked it on their two
+    rows.  These transpositions generate the cell's symmetric group and
+    stay strong for the base.  Off the first path no transposition is
+    appended: handing one over at every twin node left every output and
+    refinement count as it was, yet each extra generator lengthens every
+    later orbit-pruning pass (the canonical form of two 6-cycles and twenty
     triangles took about nine times as long).
 
     ``harvest`` and ``seeds`` (a walk takes at most one) are callables
@@ -413,27 +372,25 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=
             yield cells
             return
         first = None
-        trunk = []  # the frames of the first path, once the first leaf is found
         support = []  # the points each automorphism in found moves
         refined = 0
         # frames: [cells, prefix mask, target position, candidates left,
-        #          explored candidates, current candidate bit]
-        stack = [[cells, 0, k, cells[k], 0, 0]]
+        #          explored candidates, current candidate bit, twin target,
+        #          the two twins whose transposition the frame hands over]
+        stack = []
+
+        def push(cells, prefix, k, twin):
+            # a twin target's one candidate is its smallest member; a twin
+            # frame pushed before the first leaf also holds its two smallest
+            cell = cells[k]
+            low, rest = cell & -cell, cell & (cell - 1)
+            pair = low | rest & -rest if twin and first is None else 0
+            stack.append([cells, prefix, k, low if twin else cell, 0, 0, twin, pair])
+
+        push(cells, 0, k, _is_twin_cell(adj, cells[k]))
         while stack:
             frame = stack[-1]
-            cells, prefix, k, left, explored, current = frame
-            if current and explored == current and _is_twin_cell(adj, cells[k]):
-                # back from the first child of a twin node
-                if len(stack) > len(trunk) or trunk[len(stack) - 1] is not frame:
-                    stack.pop()
-                    continue
-                second = (cells[k] ^ current) & -(cells[k] ^ current)
-                a, b = current.bit_length() - 1, second.bit_length() - 1
-                if _swaps_twins(adj, a, b):
-                    found.append(Perm.from_cycles(g.n, (a, b)))
-                    support.append(current | second)
-                    stack.pop()
-                    continue
+            cells, prefix, k, left, explored, current, twin, pair = frame
             if harvest is not None and refined > g.n or seeds is not None and explored and left:
                 for a in (harvest or seeds)():
                     found.append(a)
@@ -444,23 +401,32 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=
                 if fixers:
                     left &= ~_orbit_mask(fixers, explored, left)
             if not left:
+                # a twin node pushed on the first path hands its
+                # transposition over as it is left
+                if pair and first is not None:
+                    a, b = bits(pair)
+                    if _swaps_twins(adj, a, b):
+                        found.append(Perm.from_cycles(g.n, (a, b)))
+                        support.append(pair)
                 stack.pop()
                 continue
             low = left & -left
-            frame[3:] = left ^ low, explored | low, low
+            frame[3:6] = left ^ low, explored | low, low
             _check_deadline(deadline)
             branch = list(cells)
             branch[k:k + 1] = low, cells[k] ^ low
             refined += 1
             if not refine_node(branch, deque([low]), low.bit_length() - 1, len(stack)):
                 continue
-            k = _target_cell(branch)
+            # the rest of a twin cell splits nothing, and is the next target
+            inherit = twin and cells[k].bit_count() > 2
+            k = k + 1 if inherit else _target_cell(branch)
             if k >= 0:
-                stack.append([branch, prefix | low, k, branch[k], 0, 0])
+                push(branch, prefix | low, k, inherit or _is_twin_cell(adj, branch[k]))
                 continue
             moved = 0  # the points the leaf's new automorphisms move
             if first is None:
-                first, trunk = branch, stack[:]
+                first = branch
                 yield branch
             else:
                 images = _leaf_map(first, branch)
@@ -689,7 +655,10 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     A group already known for g (``_known_generators``) prunes the walk
     by orbits too.  It joins at the walk's first orbit-pruning pass, so a
     walk with none reads nothing of it.  The form, ordering included, is
-    the one a walk with no such group gives (see the module docstring).
+    the one a walk with no such group gives: it is the first leaf in
+    depth-first order with the least relabelled adjacency, and every leaf
+    that orbit pruning skips is the image of an earlier leaf with the same
+    adjacency, so that first leaf is never skipped.
     """
     _check_cap(g.n, cap)
     n, nbrs = g.n, g.nbrs

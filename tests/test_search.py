@@ -441,6 +441,13 @@ class TestRefinementTrace:
         ("L(K7)", lambda: line_graph(complete_graph(7))[0], (28, 28, 7)),
         ("C60", lambda: cycle_union([60]), (6, 6, 3)),
         ("Chang", chang, (33, 35, 17)),
+        ("K12,12", lambda: complete_bipartite(12, 12), (67, 67, 23)),
+        ("K8,14", lambda: complete_bipartite(8, 14), (21, 21, 21)),
+        ("2C6+20C3", lambda: cycle_union([6, 6] + [3] * 20), (1097, 5095, 4045)),
+        # C5 with each vertex blown up to three independent twins: twin
+        # cells only below the root
+        ("C5 blown up", lambda: twin_blow_up(cycle_union([5]), [3] * 5, [False] * 5),
+         (47, 47, 11)),
     ])
     def test_search_refinement_counts(self, monkeypatch, name, make, counts):
         # the kernel's speed must not come from a different walk
@@ -711,7 +718,7 @@ def twin_blow_up(base: Graph, sizes, cliques) -> Graph:
 class TestTwinCells:
     """A target cell of pairwise twins costs the walk one descent: the
     first path hands over the transpositions of its consecutive members
-    and every twin node is left after its first child."""
+    and every twin node has one child, its cell's smallest member."""
 
     # (graph, order, generators: one transposition per point but the
     # smallest of each orbit)
@@ -737,6 +744,26 @@ class TestTwinCells:
         refines.clear()
         canonical_form(g)
         assert len(refines) <= g.n
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_one_twin_test_per_twin_cell(self, monkeypatch, name):
+        # a twin node's child inherits its twin target, so a walk tests a
+        # cell for twins once, where it first meets it; each orbit of
+        # these graphs is one twin cell, and n - generators counts them
+        make, _, generators = self.GRAPHS[name]
+        n = make().n
+        images = list(range(n))
+        random.Random(11).shuffle(images)
+        tests = count_calls(monkeypatch, "_is_twin_cell")
+        # (search on a fresh graph, the trees it walks: g's, and h's)
+        for search, walks in [
+            (automorphism_group, 1),
+            (canonical_form, 1),
+            (lambda g: find_isomorphism(g, relabel(g, Perm(images))), 2),
+        ]:
+            tests.clear()
+            assert search(make()) is not None
+            assert len(tests) <= walks * (n - generators)
 
     @staticmethod
     def assert_twin_swaps_agree_with_checker(g):
@@ -816,8 +843,8 @@ class TestTwinCells:
     def test_twin_nodes_off_the_first_path(self):
         # individualizing a triangle vertex leaves its two mates as a twin
         # cell; the canonical walk meets such cells below root children
-        # other than the first, off the first path, and leaves each of
-        # those nodes after its first child
+        # other than the first, off the first path, and gives each of
+        # those nodes one child
         nx = pytest.importorskip("networkx")
         rng = random.Random(23)
         graphs = []
