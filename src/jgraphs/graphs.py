@@ -10,11 +10,11 @@ colex rank order from the subsets module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import attrgetter
 
-from .subsets import SubsetLabel, binomial
+from .subsets import SubsetLabel, _Value, binomial
 
 DEFAULT_VERTEX_CAP = 5000
 
@@ -58,8 +58,7 @@ def _edge_list(adj) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Undirected simple graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighbour set of v as a bit mask.  Instances are
@@ -72,9 +71,8 @@ class Graph:
     after it may a row-order scan name an asymmetric pair.
     """
 
-    n: int
-    adj: tuple[int, ...]
-    labels: tuple | None = field(compare=False)
+    __match_args__ = ("n", "adj", "labels")
+    _key = attrgetter("n", "adj")
 
     def __init__(self, n: int, adj, labels=None):
         if n < 1:
@@ -142,7 +140,8 @@ class Graph:
         """The neighbours of each vertex as an ascending tuple, one int
         object per vertex.  Builders that list neighbours hand it over; a
         graph built from rows derives it on first read and keeps it.  It
-        is no dataclass field: equality, hashing and ``repr`` never see it."""
+        lives in the instance dict, outside the fields: equality, hashing
+        and ``repr`` never see it."""
         # past 256 each int read from a row is its own object, several
         # times larger than a reference to a shared one
         get = list(range(self.n)).__getitem__
@@ -179,8 +178,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class DistancePartition:
+class DistancePartition(_Value):
     """BFS layers around a source vertex.
 
     ``masks[i]`` is the set of vertices at distance i as a bit mask, and
@@ -189,9 +187,13 @@ class DistancePartition:
     appear in no layer.
     """
 
-    source: int
-    masks: tuple[int, ...]
-    dist: tuple
+    __match_args__ = ("source", "masks", "dist")
+    _key = attrgetter(*__match_args__)
+
+    def __init__(self, source: int, masks: tuple[int, ...], dist: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "dist", dist)
 
     @property
     def layers(self) -> tuple[frozenset[int], ...]:

@@ -21,8 +21,8 @@ upper bound.  Its one automorphism search runs on that neighbourhood.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import factorial
+from operator import attrgetter
 
 from ._version import __version__
 from .graphs import (
@@ -39,7 +39,7 @@ from .graphs import (
 )
 from .perms import Perm, PermGroup, _orbit_mask, compose
 from .search import automorphism_group, check_automorphism
-from .subsets import SubsetLabel, binomial, intersection_size, rank_subset
+from .subsets import SubsetLabel, _Value, binomial, intersection_size, rank_subset
 
 DEFAULT_SEED = 1729
 
@@ -147,14 +147,17 @@ def distance_by_intersection(u: SubsetLabel, v: SubsetLabel) -> int:
     return u.m - intersection_size(u, v)
 
 
-@dataclass(frozen=True)
-class IntersectionWitness:
+class IntersectionWitness(_Value):
     """Outcome of the common-neighbour uniqueness probe for one (x, v)."""
 
-    passed: bool
-    layer: int
-    intersection: frozenset[int]
-    extras: frozenset[int]
+    __match_args__ = ("passed", "layer", "intersection", "extras")
+    _key = attrgetter(*__match_args__)
+
+    def __init__(self, passed: bool, layer: int, intersection: frozenset[int], extras: frozenset[int]):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "intersection", intersection)
+        object.__setattr__(self, "extras", extras)
 
 
 def _meet(g: Graph, masks, d: int, v: int, images, image_masks) -> int:
@@ -215,12 +218,12 @@ def unique_intersection_witness(g: Graph, x: int, v: int) -> IntersectionWitness
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PartialVertexMap:
+class PartialVertexMap(_Value):
     """A partial injection on the vertex set of a fixed graph."""
 
-    graph: Graph
-    _map: dict[int, int]
+    __match_args__ = ("graph", "_map")
+    # a map compares by identity and shows the object repr
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __init__(self, graph: Graph, assignment):
         mapping = {}
@@ -338,11 +341,16 @@ def bipartite_aut_order(s: int, t: int) -> int:
     return factorial(s) * factorial(t)
 
 
-@dataclass(frozen=True)
-class TransitivityProfile:
-    vertex: bool
-    edge: bool
-    distance: bool
+class TransitivityProfile(_Value):
+    """Vertex, edge and distance transitivity of a graph under a group."""
+
+    __match_args__ = ("vertex", "edge", "distance")
+    _key = attrgetter(*__match_args__)
+
+    def __init__(self, vertex: bool, edge: bool, distance: bool):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "distance", distance)
 
 
 def transitivity_profile(g: Graph, aut: PermGroup, *, deadline=None) -> TransitivityProfile:
@@ -416,30 +424,46 @@ def _transitivity(g: Graph, gens, masks, stabilizer, deadline) -> TransitivityPr
     return TransitivityProfile(vertex=vertex, edge=edge, distance=distance)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """One verifier check.  Only asserted checks drive pass/fail; the rest
     are recorded observations."""
 
-    name: str
-    passed: bool
-    asserted: bool
-    detail: str
+    __match_args__ = ("name", "passed", "asserted", "detail")
+    _key = attrgetter(*__match_args__)
+
+    def __init__(self, name: str, passed: bool, asserted: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "asserted", asserted)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    m: int
-    vertex_count: int
-    degree: int
-    aut_order: int
-    expected_order: int
-    stabilizer_order: int
-    stabilizer_bound: int
-    checks: tuple[CheckResult, ...]
-    seed: int
-    elapsed_seconds: float
+class VerificationReport(_Value):
+    """What verify_johnson_aut found for one J(n, m): the orders it compared
+    and every check."""
+
+    __match_args__ = (
+        "n", "m", "vertex_count", "degree", "aut_order", "expected_order",
+        "stabilizer_order", "stabilizer_bound", "checks", "seed", "elapsed_seconds",
+    )
+    _key = attrgetter(*__match_args__)
+
+    def __init__(
+        self, n: int, m: int, vertex_count: int, degree: int, aut_order: int,
+        expected_order: int, stabilizer_order: int, stabilizer_bound: int,
+        checks: tuple[CheckResult, ...], seed: int, elapsed_seconds: float,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "aut_order", aut_order)
+        object.__setattr__(self, "expected_order", expected_order)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
+        object.__setattr__(self, "stabilizer_bound", stabilizer_bound)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def passed(self) -> bool:

@@ -11,20 +11,21 @@ classic silent bug, hence the explicit function instead of an operator.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from operator import attrgetter
 
 from .graphs import Graph, bits
+from .subsets import _Value
 
 BRUTE_FORCE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(_Value):
     """A permutation of 0..degree-1 stored as its image tuple."""
 
-    images: tuple[int, ...]
+    __match_args__ = ("images",)
+    _key = attrgetter("images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -35,6 +36,11 @@ class Perm:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
             seen[i] = True
         object.__setattr__(self, "images", images)
+
+    def __hash__(self):
+        # a key of one field is no tuple; hash the one-tuple, as a key of
+        # two or more fields hashes its tuple
+        return hash((self.images,))
 
     @property
     def degree(self) -> int:
@@ -185,8 +191,7 @@ def _sift(levels, g, start):
     return g, len(levels)
 
 
-@dataclass(frozen=True, eq=False)
-class PermGroup:
+class PermGroup(_Value):
     """Exact permutation group built from generators.
 
     Without ``base`` the constructor runs a deterministic Schreier-Sims
@@ -219,12 +224,8 @@ class PermGroup:
     representatives once, on first use.
     """
 
-    degree: int
-    generators: tuple[Perm, ...]
-    base: tuple[int, ...]
-    order: int
-    _levels: tuple[_Level, ...]
-    _identity: tuple[int, ...]
+    __match_args__ = ("degree", "generators", "base", "order", "_levels", "_identity")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a group compares by identity
 
     def __init__(self, generators, degree: int, *, base=None):
         generators = tuple(generators)

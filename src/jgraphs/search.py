@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import marshal
 from collections import deque
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .graphs import Graph, _check_cap, _check_deadline, _edge_list, bits
 from .perms import Perm, PermGroup, _inv, _mul, _orbit_mask
+from .subsets import _Value
 
 
-@dataclass(frozen=True)
-class ColoredPartition:
+class ColoredPartition(_Value):
     """A vertex colouring presented as an ordered partition.
 
     ``color[v]`` is the colour id of vertex v.  ``cells[c]`` lists the
@@ -47,8 +47,12 @@ class ColoredPartition:
     from 0, ordered by (cell size, smallest member).
     """
 
-    color: tuple[int, ...]
-    cells: tuple[tuple[int, ...], ...]
+    __match_args__ = ("color", "cells")
+    _key = attrgetter(*__match_args__)
+
+    def __init__(self, color: tuple[int, ...], cells: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_cells(cls, n: int, cells) -> "ColoredPartition":
@@ -56,7 +60,13 @@ class ColoredPartition:
         ordered = []
         seen = 0
         for cell in cells:
-            members = tuple(sorted(set(cell)))
+            try:
+                members = set(cell)
+            except TypeError:
+                raise ValueError(
+                    f"colours are given as cells, iterables of vertices, not {cell!r}"
+                ) from None
+            members = tuple(sorted(members))
             if not members:
                 raise ValueError("empty cell in partition")
             mask = 0
@@ -524,7 +534,8 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     first path and first leaf; see the module docstring), and a later call
     returns the recorded group with no search, so no node checks the
     deadline.  A search stopped by its deadline records nothing.  The
-    record is no dataclass field, and pickles and copies leave it out.
+    record lives in g's instance dict, outside its fields, and pickles
+    and copies leave it out.
     It lives as long as g does, and its path, which keeps the refinement
     trace of every first-path node as ``marshal`` bytes, can outweigh
     g's adjacency rows several times over: about 80 KB for J(10,4)'s 210
@@ -616,8 +627,7 @@ def _known_generators(g):
     return [Perm(_mul(q, _mul(a.images, r))) for a in group.generators]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Value):
     """Canonical relabelling of a graph.
 
     ``ordering[i]`` is the original vertex placed at canonical index i and
@@ -626,13 +636,13 @@ class CanonicalForm:
     compares vertex count and edges, not the ordering witness.
     """
 
-    n: int
-    ordering: tuple[int, ...] = field(compare=False)
-    edges: tuple[tuple[int, int], ...]
+    __match_args__ = ("n", "ordering", "edges")
+    _key = attrgetter("n", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ordering", tuple(self.ordering))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, n: int, ordering, edges):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ordering", tuple(ordering))
+        object.__setattr__(self, "edges", tuple(edges))
 
     def graph(self) -> Graph:
         return Graph.from_edges(self.n, self.edges)

@@ -9,10 +9,43 @@ subset always fits in one mask word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from operator import attrgetter
 
 MAX_GROUND_SET = 64
+
+
+class _Value:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in order in ``__match_args__``, which the
+    repr shows, and the fields that equality and the hash read in ``_key``,
+    an ``operator.attrgetter`` of them.  Its ``__init__`` sets each field
+    once through ``object.__setattr__``; after that no attribute can be set
+    or deleted.  Values of different classes never compare equal.  The
+    subclasses declare no ``__slots__``, so each keeps an instance dict,
+    where cached views and search records live outside the fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def binomial(n: int, m: int) -> int:
@@ -28,22 +61,23 @@ def binomial(n: int, m: int) -> int:
     return comb(n, m)
 
 
-@dataclass(frozen=True)
-class SubsetLabel:
+class SubsetLabel(_Value):
     """A subset of the ground set {1, ..., n}, stored as a bit mask.
 
     Bit i-1 of ``mask`` is set exactly when element i is present.  The
     ground set size travels with the label so complements are well defined.
     """
 
-    n: int
-    mask: int
+    __match_args__ = ("n", "mask")
+    _key = attrgetter(*__match_args__)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_GROUND_SET:
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} does not fit a {self.n}-element ground set")
+    def __init__(self, n: int, mask: int) -> None:
+        if not 1 <= n <= MAX_GROUND_SET:
+            raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask:#x} does not fit a {n}-element ground set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def m(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import subprocess
@@ -147,7 +146,9 @@ class TestAut:
         path.write_text(write_graph6(graph))
         _, doc, _ = run_json(capsys, validator, "aut", str(path))
         profile = transitivity_profile(graph, automorphism_group(graph))
-        assert doc["transitivity"] == dataclasses.asdict(profile)
+        assert doc["transitivity"] == {
+            "vertex": profile.vertex, "edge": profile.edge, "distance": profile.distance,
+        }
 
     def test_j63_from_stdin(self, capsys, validator, monkeypatch):
         monkeypatch.setattr(
@@ -609,3 +610,11 @@ class TestTopLevel:
             text=True,
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "Bw"
+
+    def test_imports_without_dataclasses(self):
+        # every CLI call starts a fresh interpreter, and dataclasses pulls in
+        # inspect, ast, dis and tokenize, milliseconds that no command uses
+        code = "import jgraphs, jgraphs.cli, sys; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

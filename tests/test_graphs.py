@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -7,11 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from jgraphs import (
     DEFAULT_VERTEX_CAP,
+    CanonicalForm,
+    ColoredPartition,
+    DistancePartition,
     Graph,
+    IntersectionWitness,
     PartialVertexMap,
     Perm,
     PermGroup,
     SubsetLabel,
+    TransitivityProfile,
+    VerificationReport,
     VertexCapExceeded,
     automorphism_group,
     binomial,
@@ -28,9 +33,11 @@ from jgraphs import (
     kneser_graph,
     line_graph,
     neighborhood,
+    unique_intersection_witness,
     unrank_subset,
 )
 from jgraphs.graphs import _colex_index
+from jgraphs.johnson import CheckResult
 
 from conftest import build_corpus
 
@@ -90,14 +97,24 @@ class TestGraph:
             Graph(2, (0b110, 0b01))
 
     @pytest.mark.parametrize("make, name", [
+        pytest.param(lambda: SubsetLabel(4, 0b0101), "mask", id="SubsetLabel"),
         pytest.param(lambda: complete_graph(3), "n", id="Graph"),
+        pytest.param(lambda: distance_partition(complete_graph(3), 0), "masks", id="DistancePartition"),
         pytest.param(lambda: Perm([1, 0, 2]), "images", id="Perm"),
         pytest.param(lambda: PermGroup([Perm([1, 0, 2])], 3), "order", id="PermGroup"),
+        pytest.param(lambda: ColoredPartition.uniform(3), "cells", id="ColoredPartition"),
         pytest.param(lambda: canonical_form(complete_graph(3)), "edges", id="CanonicalForm"),
+        pytest.param(
+            lambda: unique_intersection_witness(johnson_graph(5, 2), 0, 9), "extras",
+            id="IntersectionWitness",
+        ),
         pytest.param(
             lambda: PartialVertexMap.identity_on(complete_graph(3), [0]), "graph",
             id="PartialVertexMap",
         ),
+        pytest.param(lambda: TransitivityProfile(True, True, False), "edge", id="TransitivityProfile"),
+        pytest.param(lambda: CheckResult("degree", True, True, "ok"), "detail", id="CheckResult"),
+        pytest.param(lambda: _report(), "checks", id="VerificationReport"),
     ])
     def test_immutable(self, make, name):
         value = make()
@@ -179,7 +196,7 @@ class TestNeighbourView:
         assert g.nbrs is view
 
     def test_not_a_field(self):
-        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj", "labels"]
+        assert Graph.__match_args__ == ("n", "adj", "labels")
         j = johnson_graph(6, 3)
         g, h = Graph(j.n, j.adj), Graph(j.n, j.adj)
         g.nbrs  # g's view is built, h's is not
@@ -252,6 +269,126 @@ class TestCopies:
         copied = round_trip(cf)
         assert copied == cf and hash(copied) == hash(cf)
         assert copied.ordering == cf.ordering and copied.edges == cf.edges
+
+
+def _report(**fields):
+    values = dict(
+        n=4, m=2, vertex_count=6, degree=4, aut_order=48, expected_order=48,
+        stabilizer_order=8, stabilizer_bound=8,
+        checks=(CheckResult("degree", True, True, "ok"),), seed=7, elapsed_seconds=0.25,
+    )
+    return VerificationReport(**{**values, **fields})
+
+
+# One value of each of the twelve value types: a maker; a twin made apart
+# from it, equal to it unless the type compares by identity; an unequal
+# value of the same type; the repr (None: the object repr); the fields
+# that equality and the hash read, or, for identity, that copies keep.
+VALUES = [
+    pytest.param(
+        lambda: SubsetLabel(4, 0b0101), lambda: SubsetLabel.parse("{1,3}", 4),
+        lambda: SubsetLabel(5, 0b0101), "SubsetLabel(n=4, mask=5)",
+        lambda s: (s.n, s.mask), id="SubsetLabel",
+    ),
+    # the twin has no labels: they are not compared
+    pytest.param(
+        lambda: johnson_graph(4, 2), lambda: Graph(6, johnson_graph(4, 2).adj),
+        lambda: complete_graph(6), "Graph(n=6, edges=12)",
+        lambda g: (g.n, g.adj), id="Graph",
+    ),
+    pytest.param(
+        lambda: distance_partition(Graph.from_edges(4, [(0, 1), (1, 2)]), 0),
+        lambda: DistancePartition(0, (1, 2, 4), (0, 1, 2, None)),
+        lambda: distance_partition(Graph.from_edges(4, [(0, 1), (1, 2)]), 1),
+        "DistancePartition(source=0, masks=(1, 2, 4), dist=(0, 1, 2, None))",
+        lambda d: (d.source, d.masks, d.dist), id="DistancePartition",
+    ),
+    pytest.param(
+        lambda: Perm([1, 0, 2]), lambda: Perm.from_cycles(3, (0, 1)),
+        lambda: Perm([0, 2, 1]), "Perm('(0 1)', degree=3)",
+        lambda p: (p.images,), id="Perm",
+    ),
+    pytest.param(
+        lambda: PermGroup([Perm([1, 0, 2])], 3), lambda: PermGroup([Perm([1, 0, 2])], 3),
+        lambda: PermGroup([], 3), "PermGroup(degree=3, order=2)",
+        lambda a: (a.degree, a.generators, a.base, a.order), id="PermGroup",
+    ),
+    pytest.param(
+        lambda: ColoredPartition.from_cells(3, [[2], [0, 1]]),
+        lambda: ColoredPartition((1, 1, 0), ((2,), (0, 1))),
+        lambda: ColoredPartition.uniform(3),
+        "ColoredPartition(color=(1, 1, 0), cells=((2,), (0, 1)))",
+        lambda c: (c.color, c.cells), id="ColoredPartition",
+    ),
+    # the twin has another ordering: it is not compared
+    pytest.param(
+        lambda: CanonicalForm(3, [2, 0, 1], [(0, 1)]), lambda: CanonicalForm(3, (0, 1, 2), ((0, 1),)),
+        lambda: CanonicalForm(3, (2, 0, 1), ((1, 2),)), "CanonicalForm(n=3, edges=1)",
+        lambda f: (f.n, f.edges), id="CanonicalForm",
+    ),
+    pytest.param(
+        lambda: unique_intersection_witness(johnson_graph(5, 2), 0, 9),
+        lambda: IntersectionWitness(True, 2, frozenset({9}), frozenset()),
+        lambda: IntersectionWitness(True, 1, frozenset({9}), frozenset()),
+        "IntersectionWitness(passed=True, layer=2, intersection=frozenset({9}), extras=frozenset())",
+        lambda w: (w.passed, w.layer, w.intersection, w.extras), id="IntersectionWitness",
+    ),
+    pytest.param(
+        lambda: PartialVertexMap(complete_graph(3), {1: 2, 0: 1}),
+        lambda: PartialVertexMap(complete_graph(3), {0: 1, 1: 2}),
+        lambda: PartialVertexMap(complete_graph(3), {0: 0}), None,
+        lambda f: (f.graph, list(f.items())), id="PartialVertexMap",
+    ),
+    pytest.param(
+        lambda: TransitivityProfile(vertex=True, edge=True, distance=False),
+        lambda: TransitivityProfile(True, True, False),
+        lambda: TransitivityProfile(True, True, True),
+        "TransitivityProfile(vertex=True, edge=True, distance=False)",
+        lambda t: (t.vertex, t.edge, t.distance), id="TransitivityProfile",
+    ),
+    pytest.param(
+        lambda: CheckResult("degree", True, True, "ok"),
+        lambda: CheckResult(name="degree", passed=True, asserted=True, detail="ok"),
+        lambda: CheckResult("degree", True, False, "ok"),
+        "CheckResult(name='degree', passed=True, asserted=True, detail='ok')",
+        lambda c: (c.name, c.passed, c.asserted, c.detail), id="CheckResult",
+    ),
+    pytest.param(
+        _report, _report, lambda: _report(seed=8),
+        "VerificationReport(n=4, m=2, vertex_count=6, degree=4, aut_order=48, "
+        "expected_order=48, stabilizer_order=8, stabilizer_bound=8, checks=(CheckResult("
+        "name='degree', passed=True, asserted=True, detail='ok'),), seed=7, elapsed_seconds=0.25)",
+        lambda r: (
+            r.n, r.m, r.vertex_count, r.degree, r.aut_order, r.expected_order,
+            r.stabilizer_order, r.stabilizer_bound, r.checks, r.seed, r.elapsed_seconds,
+        ),
+        id="VerificationReport",
+    ),
+]
+BY_IDENTITY = (PermGroup, PartialVertexMap)
+
+
+@pytest.mark.parametrize("make, twin, other, text, fields", VALUES)
+def test_value_semantics(make, twin, other, text, fields):
+    value, second, third = make(), twin(), other()
+    assert repr(value) == (object.__repr__(value) if text is None else text)
+    assert value == value and not value != value
+    assert value != third and not value == third
+    assert value != fields(value) and value != object()
+    if isinstance(value, BY_IDENTITY):
+        assert value != second and not value == second
+        assert hash(value) == object.__hash__(value)
+    else:
+        assert value == second and not value != second
+        assert hash(value) == hash(second) == hash(fields(value))
+    for copied in (copy.copy(value), copy.deepcopy(value), _pickled(value)):
+        assert type(copied) is type(value) and fields(copied) == fields(value)
+        if text is not None:
+            assert repr(copied) == text
+        if isinstance(value, BY_IDENTITY):
+            assert copied != value
+        else:
+            assert copied == value and hash(copied) == hash(value)
 
 
 class TestFamilies:

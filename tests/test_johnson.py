@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -627,7 +626,10 @@ class TestVerifyReport:
     @pytest.mark.parametrize("n,m", [(n, m) for n, m in VALID_PAIRS if n <= 8])
     def test_json_checks_are_the_check_fields(self, n, m, all_sources):
         rep = verify_johnson_aut(n, m, all_sources=all_sources)
-        assert rep.to_json_dict()["checks"] == [dataclasses.asdict(c) for c in rep.checks]
+        assert rep.to_json_dict()["checks"] == [
+            {"name": c.name, "passed": c.passed, "asserted": c.asserted, "detail": c.detail}
+            for c in rep.checks
+        ]
 
     def test_all_sources_sweep(self):
         rep = verify_johnson_aut(5, 2, all_sources=True)

@@ -202,6 +202,13 @@ class TestColoredPartition:
         with pytest.raises(ValueError):
             ColoredPartition.from_cells(3, [[0, 1], [1, 2]])
 
+    def test_rejects_a_colour_per_vertex(self):
+        # colours are given as cells; [0, 1] reads as two cells that are not iterable
+        with pytest.raises(ValueError, match="cells, iterables of vertices"):
+            automorphism_group(complete_graph(2), colors=[0, 1])
+        with pytest.raises(ValueError, match="cells, iterables of vertices"):
+            ColoredPartition.from_cells(3, [[0, 1], 2])
+
     def test_color_lookup(self):
         p = ColoredPartition.from_cells(4, [[0, 1], [2, 3]])
         assert p.color[0] == p.color[1]
