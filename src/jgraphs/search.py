@@ -22,16 +22,22 @@ graph costs one descent.
 A graph searched once is not searched again for the same answer:
 automorphism_group records a completed uncoloured search on its graph,
 find_isomorphism lends a recorded group to an isomorphic graph that has
-none, and canonical_form prunes by either (each docstring says how).  A
-record is what a new walk would produce, so it never changes an output,
-and a lent group is never recorded, so automorphism_group still answers
-from a walk of the graph itself.
+none, and canonical_form prunes by either (each docstring says how).  The
+record also says whether the tree is one orbit: whether every target cell
+on the first path is the orbit of the path's vertex under the stabilizer
+of the path above it.  Then every leaf is an image of the first, so
+canonical_form relabels by the graph's first leaf, recorded or lent with
+the group, and walks nothing: J(12,6)'s form takes about 8 ms so, not
+600 ms.  A record is what a new walk would produce, so it never changes
+an output, and a lent group is never recorded, so automorphism_group
+still answers from a walk of the graph itself.
 """
 
 from __future__ import annotations
 
 import marshal
 from collections import deque
+from math import prod
 from operator import attrgetter
 
 from .graphs import Graph, _check_cap, _check_deadline, _edge_list, bits
@@ -66,14 +72,16 @@ class ColoredPartition(_Value):
                 raise ValueError(
                     f"colours are given as cells, iterables of vertices, not {cell!r}"
                 ) from None
-            members = tuple(sorted(members))
             if not members:
                 raise ValueError("empty cell in partition")
             mask = 0
             for v in members:
+                if type(v) is not int:
+                    raise ValueError(f"vertices are ints, not {v!r}")
                 if not 0 <= v < n:
                     raise ValueError(f"vertex {v} outside 0..{n - 1}")
                 mask |= 1 << v
+            members = tuple(sorted(members))
             if mask & seen:
                 raise ValueError("cells are not disjoint")
             seen |= mask
@@ -298,7 +306,8 @@ def _is_twin_cell(adj, cell):
     return True
 
 
-def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=None):
+def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=None,
+            sizes=None):
     """Walk the search tree of g below the initial colouring ``cells``
     (cell masks, refined in place).  Return None when the root's
     refinement trace differs from the root entry of ``path``; otherwise a
@@ -360,6 +369,9 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=
     so they prune by the orbit rule only and never make the walk jump
     back.  An orbit pass stops closing the orbit once it holds every
     candidate left.
+
+    A list ``sizes`` receives the target-cell size of every first-path
+    node, root first, as the first leaf is yielded.
     """
     adj = g.adj
     if found is None:
@@ -437,6 +449,8 @@ def _leaves(g, cells, path=None, found=None, deadline=None, harvest=None, seeds=
             moved = 0  # the points the leaf's new automorphisms move
             if first is None:
                 first = branch
+                if sizes is not None:
+                    sizes.extend(node[0][node[2]].bit_count() for node in stack)
                 yield branch
             else:
                 images = _leaf_map(first, branch)
@@ -512,9 +526,12 @@ def verify_isomorphism(g: Graph, h: Graph, p: Perm) -> bool:
     return _maps_edges(g, h, p.images, (1 << g.n) - 1)
 
 
-_RECORD = "_aut_search"  # g's instance dict entry: (group, marshalled first path, first leaf)
-# g's instance dict entry: (group, q), the recorded group of another graph
-# and the images of an isomorphism q from that graph onto g
+# g's instance dict entry: (group, marshalled first path, first leaf,
+# whether the tree is one orbit)
+_RECORD = "_aut_search"
+# g's instance dict entry: (group, q, leaf), the recorded group of another
+# graph, the images of an isomorphism q from that graph onto g, and g's
+# first leaf when the tree is one orbit, else None
 _LENT = "_lent_group"
 
 
@@ -533,9 +550,14 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     With no colouring, a completed search is recorded on g (its group,
     first path and first leaf; see the module docstring), and a later call
     returns the recorded group with no search, so no node checks the
-    deadline.  A search stopped by its deadline records nothing.  The
-    record lives in g's instance dict, outside its fields, and pickles
-    and copies leave it out.
+    deadline.  The record also holds whether the tree is one orbit, which
+    costs one comparison: the group's order, a product of one orbit length
+    per first-path level, against the product of the first path's target
+    cell sizes.  Each orbit lies in its cell, so the two agree exactly
+    when every orbit is its whole cell.  A twin cell qualifies, as its
+    transpositions generate its symmetric group.  A search stopped by its
+    deadline records nothing.  The record lives in g's instance dict,
+    outside its fields, and pickles and copies leave it out.
     It lives as long as g does, and its path, which keeps the refinement
     trace of every first-path node as ``marshal`` bytes, can outweigh
     g's adjacency rows several times over: about 80 KB for J(10,4)'s 210
@@ -544,13 +566,13 @@ def automorphism_group(g: Graph, colors=None, cap: int | None = None, *, deadlin
     _check_cap(g.n, cap)
     if colors is None and _RECORD in vars(g):
         return vars(g)[_RECORD][0]
-    path, found = [], []
-    leaves = _leaves(g, _initial_cells(g, colors), path, found, deadline)
+    path, found, sizes = [], [], []
+    leaves = _leaves(g, _initial_cells(g, colors), path, found, deadline, sizes=sizes)
     leaf = next(leaves)
     deque(leaves, maxlen=0)
     group = PermGroup(found, g.n, base=tuple(v for v, _ in path[1:]))
     if colors is None:
-        vars(g)[_RECORD] = (group, marshal.dumps(path), leaf)
+        vars(g)[_RECORD] = (group, marshal.dumps(path), leaf, group.order == prod(sizes))
     return group
 
 
@@ -580,7 +602,11 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
     them as long as it lives, outside its record, and out of pickles and
     copies.  Only canonical_form reads them, through _known_generators,
     which conjugates the generators when a canonical walk uses them;
-    nothing is conjugated here.
+    nothing is conjugated here.  When the record shows a one-orbit tree,
+    a property isomorphic graphs share, the borrower's first leaf goes
+    with the group: g's own, or the leaf of h that gave p when it was the
+    first the walk of h yielded.  No leaf of h along g's path is pruned
+    then, so that one is h's first leaf in depth-first order.
     """
     _check_cap(g.n, cap)
     _check_cap(h.n, cap)
@@ -601,14 +627,15 @@ def find_isomorphism(g: Graph, h: Graph, cap: int | None = None, *, deadline=Non
         # h's root trace differs from g's: no descent of either graph runs
         return None
     leaf = next(leaves)
-    for other in others:
+    for yielded, other in enumerate(others):
         p = Perm(_leaf_map(leaf, other))
         if verify_isomorphism(g, h, p):
             record_g, record_h = vars(g).get(_RECORD), vars(h).get(_RECORD)
             if record_h is None and record_g is not None:
-                vars(h)[_LENT] = (record_g[0], p.images)
+                first = other if record_g[3] and not yielded else None
+                vars(h)[_LENT] = (record_g[0], p.images, first)
             elif record_g is None and record_h is not None:
-                vars(g)[_LENT] = (record_h[0], _inv(p.images))
+                vars(g)[_LENT] = (record_h[0], _inv(p.images), leaf if record_h[3] else None)
             return p
     return None
 
@@ -622,9 +649,18 @@ def _known_generators(g):
         return record[0].generators
     if lent is None:
         return ()
-    group, q = lent
+    group, q, _ = lent
     r = _inv(q)
     return [Perm(_mul(q, _mul(a.images, r))) for a in group.generators]
+
+
+def _one_orbit_leaf(g):
+    """g's first leaf when its search tree is known to be one orbit, by
+    its record or by a leaf lent with a group; else None."""
+    record, lent = vars(g).get(_RECORD), vars(g).get(_LENT)
+    if record is not None:
+        return record[2] if record[3] else None
+    return None if lent is None else lent[2]
 
 
 class CanonicalForm(_Value):
@@ -669,13 +705,25 @@ def canonical_form(g: Graph, cap: int | None = None, *, deadline=None) -> Canoni
     depth-first order with the least relabelled adjacency, and every leaf
     that orbit pruning skips is the image of an earlier leaf with the same
     adjacency, so that first leaf is never skipped.
+
+    When g's record, or the leaf lent with its group, shows the tree to be
+    one orbit, g is not walked and no deadline is checked: the form is
+    its first leaf's.  By induction down the first path, every node is
+    the image of the first-path node at its level, as the automorphisms
+    fixing that node's prefix carry its first child onto every child.  So
+    every leaf is an image of the first and has its relabelled adjacency.
     """
     _check_cap(g.n, cap)
     n, nbrs = g.n, g.nbrs
     known = []
     best_key = best_order = best_position = None
-    for leaf in _leaves(g, [(1 << n) - 1], None, known, deadline,
-                        seeds=lambda: _known_generators(g)):
+    first = _one_orbit_leaf(g)
+    if first is not None:
+        leaves = (first,)
+    else:
+        leaves = _leaves(g, [(1 << n) - 1], None, known, deadline,
+                         seeds=lambda: _known_generators(g))
+    for leaf in leaves:
         # the leaf is a bijection, so the table of _maps_edges applies
         order = [cell.bit_length() - 1 for cell in leaf]
         position = _inv(order)

@@ -128,6 +128,14 @@ def cycle_union(sizes) -> Graph:
     return Graph.from_edges(start, edges)
 
 
+def circulant(n: int, jumps) -> Graph:
+    """Vertex i joined to i + j mod n for every jump j."""
+    return Graph.from_edges(n, sorted({
+        (min(i, (i + j) % n), max(i, (i + j) % n)) for i in range(n) for j in jumps
+        if (i + j) % n != i
+    }))
+
+
 def srg_unions() -> tuple[Graph, Graph]:
     """Shrikhande + L(K4,4) and Shrikhande + Shrikhande: non-isomorphic,
     with components that colour refinement cannot tell apart."""
@@ -208,6 +216,14 @@ class TestColoredPartition:
             automorphism_group(complete_graph(2), colors=[0, 1])
         with pytest.raises(ValueError, match="cells, iterables of vertices"):
             ColoredPartition.from_cells(3, [[0, 1], 2])
+
+    @pytest.mark.parametrize("bad", ["3", 3.0, None])
+    def test_rejects_a_vertex_that_is_no_int(self, bad):
+        with pytest.raises(ValueError, match=f"vertices are ints, not {bad!r}"):
+            automorphism_group(complete_graph(4), colors=[[0, 1], [2, bad]])
+        # True equals 1 but names no vertex
+        with pytest.raises(ValueError, match="vertices are ints, not True"):
+            ColoredPartition.from_cells(3, [[0, 2], [True]])
 
     def test_color_lookup(self):
         p = ColoredPartition.from_cells(4, [[0, 1], [2, 3]])
@@ -440,21 +456,22 @@ class TestRefinementTrace:
         assert trace == [(0, [(11, 12)])]
         self.assert_kernel_matches_reference(complete_graph(12).adj, [full], [full], altered=0)
 
-    # (automorphism_group, canonical_form fresh, canonical_form seeded by
-    # the recorded group)
+    # (automorphism_group, canonical_form fresh, canonical_form after
+    # automorphism_group: no walk where the record shows a one-orbit tree,
+    # else a walk seeded by the recorded group)
     @pytest.mark.parametrize("name,make,counts", [
-        ("Paley(29)", lambda: paley(29), (7, 7, 3)),
-        ("Kneser(7,3)", lambda: kneser_graph(7, 3), (28, 28, 7)),
-        ("L(K7)", lambda: line_graph(complete_graph(7))[0], (28, 28, 7)),
-        ("C60", lambda: cycle_union([60]), (6, 6, 3)),
+        ("Paley(29)", lambda: paley(29), (7, 7, 0)),
+        ("Kneser(7,3)", lambda: kneser_graph(7, 3), (28, 28, 0)),
+        ("L(K7)", lambda: line_graph(complete_graph(7))[0], (28, 28, 0)),
+        ("C60", lambda: cycle_union([60]), (6, 6, 0)),
         ("Chang", chang, (33, 35, 17)),
-        ("K12,12", lambda: complete_bipartite(12, 12), (67, 67, 23)),
-        ("K8,14", lambda: complete_bipartite(8, 14), (21, 21, 21)),
+        ("K12,12", lambda: complete_bipartite(12, 12), (67, 67, 0)),
+        ("K8,14", lambda: complete_bipartite(8, 14), (21, 21, 0)),
         ("2C6+20C3", lambda: cycle_union([6, 6] + [3] * 20), (1097, 5095, 4045)),
         # C5 with each vertex blown up to three independent twins: twin
         # cells only below the root
         ("C5 blown up", lambda: twin_blow_up(cycle_union([5]), [3] * 5, [False] * 5),
-         (47, 47, 11)),
+         (47, 47, 0)),
     ])
     def test_search_refinement_counts(self, monkeypatch, name, make, counts):
         # the kernel's speed must not come from a different walk
@@ -1347,8 +1364,42 @@ class TestSearchRecord:
         first = next(jgraphs.search._leaves(g, [(1 << g.n) - 1], path))
         fresh = Graph(g.n, g.adj)
         aut = automorphism_group(fresh)
-        group, stored, leaf = vars(fresh)["_aut_search"]
+        group, stored, leaf, one_orbit = vars(fresh)["_aut_search"]
         assert (group, marshal.loads(stored), leaf) == (aut, path, first)
+        # J(6,3) and the Petersen graph are distance-transitive: every
+        # target cell on the first path is one orbit of its stabilizer
+        assert one_orbit == (name in ("J63", "petersen"))
+
+    MORE = {
+        "K8,14": lambda: complete_bipartite(8, 14),
+        "2C6+6C3": lambda: cycle_union([6, 6] + [3] * 6),
+        "Paley(29)": lambda: paley(29),
+        # the triangle's cells are orbits; the 20 cubic vertices are one
+        # cell of two orbits, the target two levels below the root
+        "K3+Petersen+prism": lambda: disjoint_union(disjoint_union(
+            complete_graph(3), kneser_graph(5, 2)), circulant(10, [2, 5])),
+    }
+
+    @pytest.mark.parametrize("name", [*GRAPHS, *MORE])
+    def test_one_orbit_fact_is_an_orbit_per_level(self, name):
+        # the record compares one product; this checks the fact level by
+        # level, each target cell from its own refinement and each orbit
+        # from the generators that fix the path's prefix
+        g = self.MORE[name]() if name in self.MORE else self.GRAPHS[name]
+        g = Graph(g.n, g.adj)
+        aut = automorphism_group(g)
+        _, stored, _, one_orbit = vars(g)["_aut_search"]
+        vertices = [v for v, _ in marshal.loads(stored)[1:]]
+        levels = []
+        for i, v in enumerate(vertices):
+            prefix = vertices[:i]
+            rest = set(range(g.n)) - set(prefix)
+            cells = color_refinement(g, ColoredPartition.from_cells(
+                g.n, [[u] for u in prefix] + ([sorted(rest)] if rest else []))).cells
+            target = min(len(cell) for cell in cells if len(cell) > 1)
+            fixers = [a for a in aut.generators if all(a[u] == u for u in prefix)]
+            levels.append(len(group_from_generators(fixers, g.n).orbit(v)) == target)
+        assert one_orbit == all(levels)
 
     def test_second_group_is_the_recorded_one(self, monkeypatch):
         g = johnson_graph(6, 3)
@@ -1441,8 +1492,15 @@ class TestSeededCanonicalForm:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_form_does_not_depend_on_what_ran_before_property(self, data):
-        n = data.draw(st.integers(1, 12))
-        g = draw_graph(data, n)
+        if data.draw(st.booleans()):
+            # a shuffled circulant: vertex-transitive, so its search tree
+            # is often one orbit and its form read off the first leaf
+            n = data.draw(st.integers(1, 20))
+            jumps = data.draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3))
+            g = relabel(circulant(n, jumps), Perm(data.draw(st.permutations(range(n)))))
+        else:
+            n = data.draw(st.integers(1, 12))
+            g = draw_graph(data, n)
         f = relabel(g, Perm(data.draw(st.permutations(range(n)))))
         automorphism_group(f)
         first, *others = self.forms(g, f)
@@ -1479,6 +1537,79 @@ class TestSeededCanonicalForm:
         supports = count_calls(monkeypatch, "_support")
         assert sorted(canonical_form(g).ordering) == list(range(60))
         assert supports == []
+
+
+def prepare(x: Graph, f: Graph, run: str) -> None:
+    """Give x what ``run`` names: its own record ("group"), or a group lent
+    by find_isomorphism(f, x) ("lent onto") or find_isomorphism(x, f)
+    ("lent back"), where f is isomorphic to x and has a record."""
+    if run == "group":
+        automorphism_group(x)
+    else:
+        p = find_isomorphism(f, x) if run == "lent onto" else find_isomorphism(x, f)
+        assert p is not None and "_lent_group" in vars(x) and "_aut_search" not in vars(x)
+
+
+class TestOneOrbitTree:
+    """A record that shows every first-path target cell to be one orbit of
+    its stabilizer proves every leaf an image of the first, so
+    canonical_form reads the recorded first leaf, or the one
+    find_isomorphism lends with a group, and walks nothing.  Any other
+    tree is walked, and no form depends on which ran."""
+
+    ONE_ORBIT = {
+        "Paley(29)": lambda: paley(29),
+        "Kneser(7,3)": lambda: kneser_graph(7, 3),
+        "C60": lambda: cycle_union([60]),
+        "K12,12": lambda: complete_bipartite(12, 12),
+        "E24": lambda: Graph(24, [0] * 24),
+        "J(6,3)": lambda: johnson_graph(6, 3),
+    }
+    WALKED = {
+        "Chang": chang,
+        "CFI(K4) + twisted": lambda: disjoint_union(cfi_k4(False), cfi_k4(True)),
+        "2C6+6C3": lambda: cycle_union([6, 6] + [3] * 6),
+    }
+
+    @pytest.mark.parametrize("run", ["group", "lent onto", "lent back"])
+    @pytest.mark.parametrize("name", sorted(ONE_ORBIT))
+    def test_form_read_with_no_refinement(self, monkeypatch, name, run):
+        g = shuffled(self.ONE_ORBIT[name](), name)
+        fresh = canonical_form(Graph(g.n, g.adj))
+        f = shuffled(g, 1)
+        automorphism_group(f)
+        prepare(g, f, run)
+        refines = count_calls(monkeypatch, "_refine")
+        form = canonical_form(g)
+        assert refines == []
+        assert (form.ordering, form.edges) == (fresh.ordering, fresh.edges)
+
+    @pytest.mark.parametrize("name", sorted(WALKED))
+    def test_other_trees_are_walked(self, monkeypatch, name):
+        g = shuffled(self.WALKED[name](), name)
+        fresh = canonical_form(Graph(g.n, g.adj))
+        f = shuffled(g, 1)
+        automorphism_group(f)
+        assert vars(f)["_aut_search"][3] is False
+        for run in ("group", "lent onto", "lent back"):
+            x = Graph(g.n, g.adj)
+            prepare(x, f, run)
+            walks = count_calls(monkeypatch, "_leaves")
+            form = canonical_form(x)
+            monkeypatch.undo()
+            assert len(walks) == 1, run
+            assert (form.ordering, form.edges) == (fresh.ordering, fresh.edges), run
+
+    def test_a_deadline_past_is_not_read_by_a_record_read(self):
+        g = johnson_graph(6, 3)
+        fresh = canonical_form(Graph(g.n, g.adj))
+        automorphism_group(g)
+        assert canonical_form(g, deadline=time.monotonic() - 1) == fresh
+        # a graph whose tree is not one orbit still walks, and stops
+        h = chang()
+        automorphism_group(h)
+        with pytest.raises(TimeLimitExceeded):
+            canonical_form(h, deadline=time.monotonic() - 1)
 
 
 class TestOracles:
